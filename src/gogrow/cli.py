@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import math
 import sys
@@ -256,6 +257,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         final = solver.run(cfg.sim, observers=observers, trace_every=cfg.trace_every)
     except RuntimeError as err:
         _flush_trace(out_dir, rec)
+        _write_summary(out_dir, {"status": 2, "error": str(err)})
         print(f"runtime abort: {err}", file=sys.stderr)
         return 2
     _flush_trace(out_dir, rec)
@@ -285,10 +287,14 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         "worst_envelope_margin": worst,
         "undershoot_clips": final.clip_count,
     }
+    _write_summary(out_dir, summary)
+    return 0
+
+
+def _write_summary(out_dir: Path, summary: dict) -> None:
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return 0
 
 
 def _flush_trace(out_dir: Path, rec: TraceRecorder) -> None:
@@ -307,16 +313,8 @@ def _flush_trace(out_dir: Path, rec: TraceRecorder) -> None:
 
 
 def _sweep_job(args: tuple) -> dict:
-    chi, base_raw, trace_every, snapshot_every, job_dir = args
-    raw = dict(base_raw) if base_raw else {}
-    raw[("model", "chi")] = chi
-    text_cfg = RunConfig(
-        sim=_rebuild_sim(raw),
-        trace_every=trace_every,
-        snapshot_every=snapshot_every,
-        raw=raw,
-    )
-    status = cmd_run(text_cfg, Path(job_dir))
+    chi, member_cfg, job_dir = args
+    status = cmd_run(member_cfg, Path(job_dir))
     row = {"chi": chi, "c_star": minimal_speed(chi).c_star, "status": status}
     trace_path = Path(job_dir) / "trace.csv"
     r_fit = math.nan
@@ -371,6 +369,11 @@ def _read_trace(path: Path) -> tuple[np.ndarray, np.ndarray]:
 def cmd_sweep(chi_list: list[float], cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     if not chi_list or any(c < 0 for c in chi_list):
         raise ValueError("validation error on `chi`: sweep needs nonnegative values")
+    # Every member's config is built, and so validated, before any member runs.
+    members = []
+    for chi in chi_list:
+        raw = {**(cfg.raw or {}), ("model", "chi"): float(chi)}
+        members.append(dataclasses.replace(cfg, sim=_rebuild_sim(raw), raw=raw))
     out_dir.mkdir(parents=True, exist_ok=True)
     names: list[str] = []
     seen: dict[str, int] = {}
@@ -383,8 +386,8 @@ def cmd_sweep(chi_list: list[float], cfg: RunConfig, out_dir: Path, jobs: int = 
             seen[base] = 0
             names.append(base)
     args = [
-        (float(chi), cfg.raw, cfg.trace_every, cfg.snapshot_every, str(out_dir / name))
-        for chi, name in zip(chi_list, names)
+        (float(chi), member, str(out_dir / name))
+        for chi, member, name in zip(chi_list, members, names)
     ]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -11,6 +11,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,133 @@ class ShapeDefectField:
     gamma: float | None = None
 
 
+@dataclass
+class _Derived:
+    """Derived fields of one state, each computed at most once.
+
+    Every observable below is built on these, so a trace sample that asks
+    for all of them pays once for the cumulative mass, the front, the
+    defect field, its exclusion mask and the moment weight.
+    """
+
+    state: SimState
+    cfg: SimConfig
+
+    @cached_property
+    def probe(self) -> np.ndarray:
+        # u for the local models, the cumulative mass P for the nonlocal ones
+        return solver.front_field(self.state, self.cfg)
+
+    @cached_property
+    def front(self) -> float | None:
+        return solver.level_crossing(
+            self.probe, self.state.x_left, self.cfg.grid.dx, solver.front_level(self.cfg)
+        )
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        # exp(z / chi_vee): the moment weight and the defect weight
+        return np.exp(moving_frame_z(self.state, self.cfg) / self.cfg.chi_params.chi_vee)
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Node-wise defect -v_x - eta(v) of v = u (local) or P (nonlocal)."""
+        cfg = self.cfg
+        v = self.probe
+        if cfg.model is Model.LOCAL_U:
+            # The scheme evolves the regularized flux, so its preserved-sign
+            # defect is measured against the matching regularized profile.
+            eta = eta_regularized(cfg.chi_params.chi, cfg.scheme_epsilon(), np.clip(v, 0.0, 1.0))
+        elif cfg.model in (Model.NONLOCAL_P, Model.NONLOCAL_RHO):
+            eta = eta_nonlocal(cfg.chi_params.chi, np.clip(v, 0.0, None))
+        else:
+            raise ValueError("shape defect is defined for the go-or-grow models only")
+        return -_centered_slope(v, cfg.grid.dx) - eta
+
+    @cached_property
+    def keep(self) -> np.ndarray:
+        """Mask of nodes kept for defect statistics.
+
+        Drops 3 cells around the flux-switch kink (a genuine distributional
+        object) and the one-sided edge stencils.  For the regularized local
+        model the switch is not a point: the interface occupies the level
+        band u in (1 - eps, 1) and its discrete corner layer radiates about
+        two more eps-widths of wake, so the whole band from the front level
+        down to 1 - 4 eps is interface machinery and is excluded.
+        """
+        cfg, pad = self.cfg, 3
+        n = cfg.grid.n
+        keep = np.ones(n, dtype=bool)
+        keep[:2] = keep[-2:] = False
+        front = self.front
+        if front is None:
+            return keep
+        dx = cfg.grid.dx
+        x_left = self.state.x_left
+        hi_x = front
+        if cfg.model is Model.LOCAL_U:
+            deep = solver.level_crossing(self.probe, x_left, dx, 1.0 - 4.0 * cfg.scheme_epsilon())
+            if deep is not None:
+                hi_x = deep
+        i0 = int(round((front - x_left) / dx)) - pad
+        i1 = int(round((hi_x - x_left) / dx)) + pad + 1
+        keep[max(0, i0) : min(n, i1)] = False
+        return keep
+
+    def min_defect(self) -> float:
+        return float(self.omega[self.keep].min()) if self.keep.any() else math.nan
+
+    def weighted_sup(self) -> float:
+        return float((self.omega * self.weight)[self.keep].max()) if self.keep.any() else math.nan
+
+    def moment(self, kind: MomentKind, m: float = 0.2) -> tuple[float, float]:
+        """Trapezoid moment and the integrand at the right window edge."""
+        cfg = self.cfg
+        if kind is MomentKind.IU:
+            if cfg.model not in (Model.LOCAL_U, Model.FKPP):
+                raise ValueError("iu moment needs a local density field")
+            integrand = self.state.field * self.weight
+        elif kind is MomentKind.IP:
+            integrand = solver.derived_P(self.state, cfg) * self.weight
+        elif kind is MomentKind.IRHO:
+            integrand = solver.derived_rho(self.state, cfg) * self.weight
+        else:
+            if not (0.0 < m < 1.0):
+                raise ValueError("im moment needs m in (0, 1)")
+            z = moving_frame_z(self.state, cfg)
+            rho = solver.derived_rho(self.state, cfg)
+            integrand = rho * ((np.exp(m * z) + np.exp(-m * z)) * np.exp(z))
+        return float(_trapezoid(integrand, dx=cfg.grid.dx)), float(integrand[-1])
+
+    def rh_residual(self) -> float | None:
+        cfg, state = self.cfg, self.state
+        dx = cfg.grid.dx
+        chi = cfg.chi_params.chi
+        if cfg.model is Model.LOCAL_U:
+            eps = cfg.scheme_epsilon()
+            x_if = solver.level_crossing(state.field, state.x_left, dx, 1.0 - 2.0 * eps)
+            if x_if is None:
+                return None
+            if x_if - dx < state.x_left or x_if + dx > state.x_left + (cfg.grid.n - 1) * dx:
+                return None
+            up = _interp(state.field, state.x_left, dx, x_if + dx)
+            dn = _interp(state.field, state.x_left, dx, x_if - dx)
+            slope = (up - dn) / (2.0 * dx)
+            return abs(slope + chi)
+        if cfg.model in (Model.NONLOCAL_P, Model.NONLOCAL_RHO):
+            x_f = self.front  # the front level of P is 1
+            if x_f is None:
+                return None
+            j = int(math.floor((x_f - state.x_left) / dx)) + 1  # first node right of front
+            if j - 4 < 0 or j + 3 >= cfg.grid.n:
+                return None
+            rho = solver.derived_rho(state, cfg)
+            slope_right = (rho[j + 3] - rho[j + 1]) / (2.0 * dx)
+            slope_left = (rho[j - 2] - rho[j - 4]) / (2.0 * dx)
+            return abs(slope_right - slope_left + chi * rho[j + 2])
+        raise ValueError("Rankine-Hugoniot residual is a go-or-grow quantity")
+
+
 def front_location(state: SimState, cfg: SimConfig) -> float | None:
     """Front position in window coordinates, or None when absent.
 
@@ -72,27 +200,13 @@ def front_location(state: SimState, cfg: SimConfig) -> float | None:
     fire).  Nonlocal models: the crossing of P = 1.  FKPP reference: the
     half level.
     """
-    probe = solver.front_field(state, cfg)
-    return solver.level_crossing(probe, state.x_left, cfg.grid.dx, solver.front_level(cfg))
+    return _Derived(state, cfg).front
 
 
 def moving_frame_z(state: SimState, cfg: SimConfig) -> np.ndarray:
     """Node coordinates in the speed-c moving frame, z = x_lab - c t."""
     x = cfg.grid.nodes(state.x_left)
     return x + cfg.frame.shift(state.t) - cfg.chi_params.c_star * state.t
-
-
-def _defect_source(state: SimState, cfg: SimConfig):
-    """Field and profile function the defect compares against."""
-    if cfg.model is Model.LOCAL_U:
-        eps = cfg.scheme_epsilon()
-        # The scheme evolves the regularized flux, so its preserved-sign
-        # defect is measured against the matching regularized profile.
-        return state.field, lambda v: eta_regularized(cfg.chi_params.chi, eps, np.clip(v, 0.0, 1.0))
-    if cfg.model in (Model.NONLOCAL_P, Model.NONLOCAL_RHO):
-        p = solver.derived_P(state, cfg)
-        return p, lambda v: eta_nonlocal(cfg.chi_params.chi, np.clip(v, 0.0, None))
-    raise ValueError("shape defect is defined for the go-or-grow models only")
 
 
 def _centered_slope(v: np.ndarray, dx: float) -> np.ndarray:
@@ -114,65 +228,30 @@ def shape_defect(
     weighted multiplies by exp(z / chi_vee) in the moving frame; gamma adds
     the localization weight exp(-gamma sqrt(1 + z^2)).
     """
-    v, eta = _defect_source(state, cfg)
-    omega = -_centered_slope(v, cfg.grid.dx) - eta(v)
-    x = cfg.grid.nodes(state.x_left)
-    if weighted or gamma is not None:
+    d = _Derived(state, cfg)
+    omega = d.omega
+    if weighted:
+        omega = omega * d.weight
+    if gamma is not None:
         z = moving_frame_z(state, cfg)
-        if weighted:
-            omega = omega * np.exp(z / cfg.chi_params.chi_vee)
-        if gamma is not None:
-            omega = omega * np.exp(-gamma * np.sqrt(1.0 + z * z))
+        omega = omega * np.exp(-gamma * np.sqrt(1.0 + z * z))
+    x = cfg.grid.nodes(state.x_left)
     return ShapeDefectField(x=x, values=omega, weighted=weighted, gamma=gamma)
 
 
-def _switch_exclusion(state: SimState, cfg: SimConfig, pad: int = 3) -> np.ndarray:
-    """Mask of nodes kept for defect statistics.
-
-    Drops pad cells around the flux-switch kink (a genuine distributional
-    object) and the one-sided edge stencils.  For the regularized local
-    model the switch is not a point: the interface occupies the level band
-    u in (1 - eps, 1) and its discrete corner layer radiates about two
-    more eps-widths of wake, so the whole band from the front level down
-    to 1 - 4 eps is interface machinery and is excluded.
-    """
-    n = cfg.grid.n
-    keep = np.ones(n, dtype=bool)
-    keep[:2] = False
-    keep[-2:] = False
-    dx = cfg.grid.dx
-    probe = solver.front_field(state, cfg)
-    front = solver.level_crossing(probe, state.x_left, dx, solver.front_level(cfg))
-    if front is None:
-        return keep
-    if cfg.model is Model.LOCAL_U:
-        eps = cfg.scheme_epsilon()
-        deep = solver.level_crossing(probe, state.x_left, dx, 1.0 - 4.0 * eps)
-        hi_x = deep if deep is not None else front
-    else:
-        hi_x = front
-    i0 = int(round((front - state.x_left) / dx)) - pad
-    i1 = int(round((hi_x - state.x_left) / dx)) + pad + 1
-    keep[max(0, i0) : min(n, i1)] = False
-    return keep
+def _switch_exclusion(state: SimState, cfg: SimConfig) -> np.ndarray:
+    """Mask of nodes kept for defect statistics (see _Derived.keep)."""
+    return _Derived(state, cfg).keep
 
 
 def min_shape_defect(state: SimState, cfg: SimConfig) -> float:
     """Minimum node-wise defect away from the switch kinks and edges."""
-    omega = shape_defect(state, cfg).values
-    keep = _switch_exclusion(state, cfg)
-    if not keep.any():
-        return math.nan
-    return float(omega[keep].min())
+    return _Derived(state, cfg).min_defect()
 
 
 def weighted_defect_sup(state: SimState, cfg: SimConfig) -> float:
     """Sup of the weighted defect away from the switch kinks and edges."""
-    omega = shape_defect(state, cfg, weighted=True).values
-    keep = _switch_exclusion(state, cfg)
-    if not keep.any():
-        return math.nan
-    return float(omega[keep].max())
+    return _Derived(state, cfg).weighted_sup()
 
 
 def exponential_moment(
@@ -188,31 +267,14 @@ def exponential_moment(
     Warns TailNotResolvedWarning when the integrand at the right window
     edge is above 1e-10: the window is then too narrow for the moment.
     """
-    z = moving_frame_z(state, cfg)
-    if kind is MomentKind.IU:
-        if cfg.model not in (Model.LOCAL_U, Model.FKPP):
-            raise ValueError("iu moment needs a local density field")
-        f = state.field
-        weight = np.exp(z / cfg.chi_params.chi_vee)
-    elif kind is MomentKind.IP:
-        f = solver.derived_P(state, cfg)
-        weight = np.exp(z / cfg.chi_params.chi_vee)
-    elif kind is MomentKind.IRHO:
-        f = solver.derived_rho(state, cfg)
-        weight = np.exp(z / cfg.chi_params.chi_vee)
-    else:
-        if not (0.0 < m < 1.0):
-            raise ValueError("im moment needs m in (0, 1)")
-        f = solver.derived_rho(state, cfg)
-        weight = (np.exp(m * z) + np.exp(-m * z)) * np.exp(z)
-    integrand = f * weight
-    if abs(float(integrand[-1])) > 1e-10:
+    value, tail = _Derived(state, cfg).moment(kind, m)
+    if abs(tail) > 1e-10:
         warnings.warn(
-            f"moment integrand {integrand[-1]:.3e} at the right edge; widen the window",
+            f"moment integrand {tail:.3e} at the right edge; widen the window",
             TailNotResolvedWarning,
             stacklevel=2,
         )
-    return float(_trapezoid(integrand, dx=cfg.grid.dx))
+    return value
 
 
 def default_moment_kind(cfg: SimConfig) -> MomentKind | None:
@@ -247,32 +309,7 @@ def rankine_hugoniot_residual(state: SimState, cfg: SimConfig) -> float | None:
 
     Returns None when no front is present.
     """
-    dx = cfg.grid.dx
-    chi = cfg.chi_params.chi
-    if cfg.model is Model.LOCAL_U:
-        eps = cfg.scheme_epsilon()
-        x_if = solver.level_crossing(state.field, state.x_left, dx, 1.0 - 2.0 * eps)
-        if x_if is None:
-            return None
-        if x_if - dx < state.x_left or x_if + dx > state.x_left + (cfg.grid.n - 1) * dx:
-            return None
-        up = _interp(state.field, state.x_left, dx, x_if + dx)
-        dn = _interp(state.field, state.x_left, dx, x_if - dx)
-        slope = (up - dn) / (2.0 * dx)
-        return abs(slope + chi)
-    if cfg.model in (Model.NONLOCAL_P, Model.NONLOCAL_RHO):
-        probe = solver.front_field(state, cfg)
-        x_f = solver.level_crossing(probe, state.x_left, dx, 1.0)
-        if x_f is None:
-            return None
-        rho = solver.derived_rho(state, cfg)
-        j = int(math.floor((x_f - state.x_left) / dx)) + 1  # first node right of front
-        if j - 4 < 0 or j + 3 >= cfg.grid.n:
-            return None
-        slope_right = (rho[j + 3] - rho[j + 1]) / (2.0 * dx)
-        slope_left = (rho[j - 2] - rho[j - 4]) / (2.0 * dx)
-        return abs(slope_right - slope_left + chi * rho[j + 2])
-    raise ValueError("Rankine-Hugoniot residual is a go-or-grow quantity")
+    return _Derived(state, cfg).rh_residual()
 
 
 @dataclass
@@ -292,28 +329,28 @@ class TraceRecorder:
     weighted_sup: list = dc_field(default_factory=list)
     rh_residual: list = dc_field(default_factory=list)
 
-    def __call__(self, state: SimState, cfg: SimConfig) -> None:
-        self.t.append(state.t)
-        f = front_location(state, cfg)
-        self.x_front.append(math.nan if f is None else f + cfg.frame.shift(state.t))
+    def sample(self, state: SimState, cfg: SimConfig) -> tuple[float, ...]:
+        """One row (t, lab-frame front, moment, min defect, weighted sup,
+        RH residual); each derived field is computed once for the row."""
+        d = _Derived(state, cfg)
+        front = d.front
         kind = default_moment_kind(cfg)
-        if kind is None:
-            self.moment.append(math.nan)
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TailNotResolvedWarning)
-                self.moment.append(exponential_moment(state, cfg, kind))
-        if self.collect_defect and cfg.model is not Model.FKPP:
-            self.min_defect.append(min_shape_defect(state, cfg))
-            self.weighted_sup.append(weighted_defect_sup(state, cfg))
-        else:
-            self.min_defect.append(math.nan)
-            self.weighted_sup.append(math.nan)
-        if self.collect_rh and cfg.model is not Model.FKPP:
-            r = rankine_hugoniot_residual(state, cfg)
-            self.rh_residual.append(math.nan if r is None else r)
-        else:
-            self.rh_residual.append(math.nan)
+        go_or_grow = cfg.model is not Model.FKPP
+        rh = d.rh_residual() if self.collect_rh and go_or_grow else None
+        defect = self.collect_defect and go_or_grow
+        return (
+            state.t,
+            math.nan if front is None else front + cfg.frame.shift(state.t),
+            math.nan if kind is None else d.moment(kind)[0],
+            d.min_defect() if defect else math.nan,
+            d.weighted_sup() if defect else math.nan,
+            math.nan if rh is None else rh,
+        )
+
+    def __call__(self, state: SimState, cfg: SimConfig) -> None:
+        columns = (self.t, self.x_front, self.moment, self.min_defect, self.weighted_sup, self.rh_residual)
+        for column, value in zip(columns, self.sample(state, cfg)):
+            column.append(value)
 
     def front_trace(self) -> FrontTrace:
         return FrontTrace(t=np.asarray(self.t), x_front=np.asarray(self.x_front))

@@ -98,15 +98,6 @@ class FluxSpec:
     def regularized(epsilon: float) -> "FluxSpec":
         return FluxSpec(FluxKind.REGULARIZED_LOCAL, float(epsilon))
 
-    def lipschitz(self) -> float:
-        """Lipschitz constant of A (the sharp local flux reports its
-        regularized stand-in's 1/eps via the solver, never directly)."""
-        if self.kind is FluxKind.NONLOCAL_RAMP:
-            return 1.0
-        if self.kind is FluxKind.REGULARIZED_LOCAL:
-            return 1.0 / self.epsilon
-        return math.inf
-
 
 def _return_like(s, out):
     return float(out[0]) if np.ndim(s) == 0 else out
@@ -144,6 +135,25 @@ def _lam(chi: float) -> float:
     return p * math.exp(-p)
 
 
+def _lambert_profile(cp: ChiParams, arr: np.ndarray, prefactor, go_value: float) -> np.ndarray:
+    """Profile shared by the local and cumulative-mass models: chi*s below
+    1 for chi >= 1, and (1 + 1/W_{-1}(-k*s)) * s with k = prefactor(chi)
+    below chi = 1; go_value from s = 1 on."""
+    if cp.chi >= 1.0:
+        return np.where(arr < 1.0, cp.chi * arr, go_value)
+    out = np.where(arr < 1.0, 0.0, go_value)
+    y = prefactor(cp.chi) * arr
+    # k*s can underflow to 0 for subnormal s; there eta(s) -> s
+    tiny = (arr > 0.0) & (y <= 0.0) & (arr < 1.0)
+    out[tiny] = arr[tiny]
+    inner = (y > 0.0) & (arr < 1.0)
+    if inner.any():
+        w = lambert_w_minus1_array(-y[inner])
+        out[inner] = (1.0 + 1.0 / w) * arr[inner]
+    np.maximum(out, 0.0, out=out)  # roundoff guard at the endpoints
+    return out
+
+
 def eta_local(chi: float, s):
     """Wave-profile function of the local model on [0, 1].
 
@@ -156,20 +166,7 @@ def eta_local(chi: float, s):
     arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("eta_local argument must lie in [0, 1]")
-    if cp.chi >= 1.0:
-        out = np.where(arr < 1.0, cp.chi * arr, 0.0)
-    else:
-        out = np.zeros_like(arr)
-        y = _kappa(cp.chi) * arr
-        # kappa*s can underflow to 0 for subnormal s; there eta(s) -> s
-        tiny = (arr > 0.0) & (y <= 0.0) & (arr < 1.0)
-        out[tiny] = arr[tiny]
-        inner = (y > 0.0) & (arr < 1.0)
-        if inner.any():
-            w = lambert_w_minus1_array(-y[inner])
-            out[inner] = (1.0 + 1.0 / w) * arr[inner]
-        np.maximum(out, 0.0, out=out)  # roundoff guard at the endpoints
-    return _return_like(s, out)
+    return _return_like(s, _lambert_profile(cp, arr, _kappa, 0.0))
 
 
 def eta_nonlocal(chi: float, s):
@@ -183,21 +180,7 @@ def eta_nonlocal(chi: float, s):
     arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError("eta_nonlocal argument must be finite and >= 0")
-    go_value = 1.0 / (cp.c_star - cp.chi)
-    if cp.chi >= 1.0:
-        out = np.where(arr < 1.0, cp.chi * arr, go_value)
-    else:
-        out = np.full_like(arr, go_value)
-        out[arr < 1.0] = 0.0
-        y = _lam(cp.chi) * arr
-        tiny = (arr > 0.0) & (y <= 0.0) & (arr < 1.0)
-        out[tiny] = arr[tiny]
-        inner = (y > 0.0) & (arr < 1.0)
-        if inner.any():
-            w = lambert_w_minus1_array(-y[inner])
-            out[inner] = (1.0 + 1.0 / w) * arr[inner]
-        np.maximum(out, 0.0, out=out)
-    return _return_like(s, out)
+    return _return_like(s, _lambert_profile(cp, arr, _lam, 1.0 / (cp.c_star - cp.chi)))
 
 
 @dataclass(frozen=True)
