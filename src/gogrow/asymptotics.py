@@ -257,10 +257,8 @@ def pulled_local_defect(params: SupersolutionParams, chi: float, t: float, z) ->
     """Shape defect -R_z - eta_u(R) of the pulled right branch (z beyond
     the unit crossing, so R < 1)."""
     z_arr = np.atleast_1d(np.asarray(z, float))
-    tp = t + params.t0
     r = pulled_profile(params, t, z_arr)
-    slope = r * (1.0 / z_arr - 1.0 - z_arr / (2.0 * tp) + 2.0 * z_arr / tp**1.5)
-    return -slope - eta_local(chi, np.clip(r, 0.0, 1.0))
+    return -pulled_profile_slope(params, t, z_arr) - eta_local(chi, np.clip(r, 0.0, 1.0))
 
 
 @dataclass(frozen=True)

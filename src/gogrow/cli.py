@@ -35,27 +35,6 @@ def _fmt(v: float) -> str:
     return format(v, ".12g")
 
 
-_SCHEMA = {
-    "model": {"kind", "chi", "flux", "epsilon_mode", "epsilon"},
-    "grid": {"x_left", "dx", "width"},
-    "run": {
-        "t_end",
-        "cfl_sigma",
-        "frame",
-        "frame_r",
-        "frame_t0",
-        "init",
-        "init_file",
-        "amplitude",
-        "left_pad",
-        "right_pad",
-        "front_theta",
-        "gaussian_center",
-        "gaussian_width",
-    },
-    "output": {"trace_every", "snapshot_every"},
-}
-
 _DEFAULTS = {
     ("model", "kind"): "local_u",
     ("model", "chi"): 1.0,
@@ -81,6 +60,9 @@ _DEFAULTS = {
     ("output", "trace_every"): 0.5,
     ("output", "snapshot_every"): None,
 }
+
+# section -> its keys, sections in the order of _DEFAULTS
+_SCHEMA = {section: {k for s, k in _DEFAULTS if s == section} for section, _ in _DEFAULTS}
 
 
 @dataclass(frozen=True)
@@ -117,6 +99,11 @@ def _parse_value(text: str, lineno: int):
 
 def parse_config(text: str) -> RunConfig:
     """Parse the key-value config format; unknown keys are rejected."""
+    return _build_config(_read_values(text))
+
+
+def _read_values(text: str) -> dict:
+    """Config text to {(section, key): value}, defaults filled in."""
     values: dict = dict(_DEFAULTS)
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -137,7 +124,11 @@ def parse_config(text: str) -> RunConfig:
         if key not in _SCHEMA[section]:
             raise ValueError(f"line {lineno}: unknown key `{key}` in [{section}]")
         values[(section, key)] = _parse_value(val, lineno)
+    return values
 
+
+def _build_config(values: dict) -> RunConfig:
+    """Validated RunConfig from a complete {(section, key): value} dict."""
     chi = float(values[("model", "chi")])
     if chi < 0.0 or not math.isfinite(chi):
         raise ValueError("validation error on `chi`: must be finite and >= 0")
@@ -191,7 +182,7 @@ def parse_config(text: str) -> RunConfig:
         sim=sim,
         trace_every=float(values[("output", "trace_every")]),
         snapshot_every=None if snap is None else float(snap),
-        raw={k: v for k, v in values.items()},
+        raw=dict(values),
     )
 
 
@@ -203,7 +194,7 @@ def emit_config(cfg: RunConfig) -> str:
         vals.update(cfg.raw)
     vals[("output", "trace_every")] = cfg.trace_every
     vals[("output", "snapshot_every")] = cfg.snapshot_every
-    for section in ("model", "grid", "run", "output"):
+    for section in _SCHEMA:
         out.append(f"[{section}]")
         for key in sorted(_SCHEMA[section]):
             v = vals[(section, key)]
@@ -212,7 +203,7 @@ def emit_config(cfg: RunConfig) -> str:
             elif isinstance(v, bool):
                 rep = "true" if v else "false"
             elif isinstance(v, (int, float)):
-                rep = _fmt(float(v))
+                rep = repr(float(v))
             else:
                 rep = f'"{v}"'
             out.append(f"{key} = {rep}")
@@ -340,25 +331,6 @@ def _sweep_job(args: tuple) -> dict:
     return row
 
 
-def _rebuild_sim(raw: dict) -> SimConfig:
-    lines = []
-    by_section: dict[str, list[str]] = {s: [] for s in _SCHEMA}
-    for (section, key), v in raw.items():
-        if v is None:
-            rep = "none"
-        elif isinstance(v, bool):
-            rep = "true" if v else "false"
-        elif isinstance(v, (int, float)):
-            rep = _fmt(float(v))
-        else:
-            rep = f'"{v}"'
-        by_section[section].append(f"{key} = {rep}")
-    for section, entries in by_section.items():
-        lines.append(f"[{section}]")
-        lines.extend(entries)
-    return parse_config("\n".join(lines)).sim
-
-
 def _read_trace(path: Path) -> tuple[np.ndarray, np.ndarray]:
     data = np.genfromtxt(path, delimiter=",", names=True)
     t = np.atleast_1d(data["t"])
@@ -372,8 +344,8 @@ def cmd_sweep(chi_list: list[float], cfg: RunConfig, out_dir: Path, jobs: int = 
     # Every member's config is built, and so validated, before any member runs.
     members = []
     for chi in chi_list:
-        raw = {**(cfg.raw or {}), ("model", "chi"): float(chi)}
-        members.append(dataclasses.replace(cfg, sim=_rebuild_sim(raw), raw=raw))
+        raw = {**_DEFAULTS, **(cfg.raw or {}), ("model", "chi"): float(chi)}
+        members.append(dataclasses.replace(cfg, sim=_build_config(raw).sim, raw=raw))
     out_dir.mkdir(parents=True, exist_ok=True)
     names: list[str] = []
     seen: dict[str, int] = {}

@@ -80,13 +80,11 @@ class _Derived:
     @cached_property
     def probe(self) -> np.ndarray:
         # u for the local models, the cumulative mass P for the nonlocal ones
-        return solver.front_field(self.state, self.cfg)
+        return solver.front_field(self.state.field, self.cfg)
 
     @cached_property
     def front(self) -> float | None:
-        return solver.level_crossing(
-            self.probe, self.state.x_left, self.cfg.grid.dx, solver.front_level(self.cfg)
-        )
+        return solver.front_position(self.probe, self.state.x_left, self.cfg)
 
     @cached_property
     def weight(self) -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lambertw import lambert_w_minus1, lambert_w_minus1_array
+from .lambertw import lambert_w_minus1_array
 
 
 class Regime(enum.Enum):
@@ -103,6 +103,16 @@ def _return_like(s, out):
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
+def _ramp_flux(v: np.ndarray, epsilon: float | None, out: np.ndarray | None = None) -> np.ndarray:
+    """Ramp flux without validation: (v - 1)_+ for epsilon None, else the
+    regularized clip(v - (1 - eps), 0) / eps; written into out when given."""
+    out = np.subtract(v, 1.0 if epsilon is None else 1.0 - epsilon, out=out)
+    np.maximum(out, 0.0, out=out)
+    if epsilon is not None:
+        out /= epsilon
+    return out
+
+
 def flux(spec: FluxSpec, s):
     """Advection flux A(s); nondecreasing with A(0) = 0.
 
@@ -112,14 +122,14 @@ def flux(spec: FluxSpec, s):
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError("flux argument must be finite and >= 0")
     if spec.kind is FluxKind.NONLOCAL_RAMP:
-        out = np.maximum(arr - 1.0, 0.0)
+        out = _ramp_flux(arr, None)
     else:
         if np.any(arr > 1.0):
             raise ValueError("local flux argument must lie in [0, 1]")
         if spec.kind is FluxKind.LOCAL_HEAVISIDE:
             out = np.where(arr >= 1.0, arr, 0.0)
         else:
-            out = np.clip(arr - (1.0 - spec.epsilon), 0.0, None) / spec.epsilon
+            out = _ramp_flux(arr, spec.epsilon)
     return _return_like(s, out)
 
 
@@ -204,11 +214,14 @@ class RegularizationConstants:
 
 @lru_cache(maxsize=256)
 def regularization_constants(chi: float, epsilon: float) -> RegularizationConstants:
-    """Solve for the matching constants of the regularized local profile.
+    """Matching constants of the regularized local profile, in closed form.
 
     Defined for chi in [0, 1).  k_eps solves
-    exp(-k) * eta_local(exp(k) * (1 - eps)) = psi_star to 1e-12, with
-    psi_star the positive root of mu^2 - (chi - 2 eps) mu - eps (1 - eps).
+    exp(-k) * eta_local(exp(k) * (1 - eps)) = psi_star, with psi_star the
+    positive root of mu^2 - (chi - 2 eps) mu - eps (1 - eps).  With
+    p = exp(k) (1 - eps) the condition reads 1 + 1/W_{-1}(-kappa p) =
+    psi_star / (1 - eps), so w = (1 - eps) / (psi_star - 1 + eps) and
+    p = -w exp(w) / kappa.
     """
     chi = float(chi)
     epsilon = float(epsilon)
@@ -219,24 +232,10 @@ def regularization_constants(chi: float, epsilon: float) -> RegularizationConsta
     d = chi - 2.0 * epsilon
     psi = 0.5 * (d + math.sqrt(d * d + 4.0 * epsilon * (1.0 - epsilon)))
     kap = _kappa(chi)
-
-    # Bisect on p = exp(k) * (1 - eps) in (0, 1): g decreases from
-    # (1 - eps) - psi > 0 to (1 - eps) chi - psi < 0.
-    def g(p: float) -> float:
-        return (1.0 - epsilon) * (1.0 + 1.0 / lambert_w_minus1(-kap * p)) - psi
-
-    lo, hi = 1e-12, 1.0 - 1e-15
-    if g(lo) <= 0.0 or g(hi) >= 0.0:
-        raise RuntimeError("k_eps bracket failed; regularization constants bug")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    p_star = 0.5 * (lo + hi)
-    if abs(g(p_star)) > 1e-12:
-        raise RuntimeError("k_eps bisection did not converge")
+    w = (1.0 - epsilon) / (psi - 1.0 + epsilon)
+    p_star = -w * math.exp(w) / kap
+    if not (0.0 < p_star < 1.0):
+        raise RuntimeError("k_eps matching point outside (0, 1); regularization constants bug")
     k_eps = math.log(p_star / (1.0 - epsilon))
     return RegularizationConstants(
         chi=chi,
@@ -263,8 +262,7 @@ def eta_regularized(chi: float, epsilon: float, s):
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("eta_regularized argument must lie in [0, 1]")
     if cp.chi >= 1.0:
-        a = np.clip(arr - (1.0 - epsilon), 0.0, None) / epsilon
-        out = cp.chi * (arr - a)
+        out = cp.chi * (arr - _ramp_flux(arr, epsilon))
         out[arr >= 1.0] = 0.0  # exact zero, avoids 1 - (1-eps)/eps roundoff
         np.maximum(out, 0.0, out=out)
     else:

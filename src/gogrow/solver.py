@@ -33,6 +33,7 @@ from .profiles import (
     ChiParams,
     FluxKind,
     FluxSpec,
+    _ramp_flux,
     minimal_speed,
     traveling_wave,
 )
@@ -210,7 +211,15 @@ class InitPreset:
 
 @dataclass(frozen=True)
 class WindowPolicy:
-    """Margins the front keeps to the window edges before recentring."""
+    """Margins the front keeps to the window edges before recentring.
+
+    Each check tests the right pad first and shifts the window right when
+    it is short; only when it holds is the left pad tested.  Pads that add
+    up to more than the window cannot both hold, and then the right pad
+    wins: an advancing front leaves the right pad short at nearly every
+    check, so the left pad is ignored (during a slow start the window may
+    jump back and forth between the two positions).
+    """
 
     left_pad: float = 15.0
     right_pad: float = 25.0
@@ -250,12 +259,8 @@ class SimConfig:
         chi = self.chi_params.chi
         dx = self.grid.dx
         # Monotonicity of the centered advection needs mesh Peclet < 1.
-        if self.model is not Model.FKPP:
-            lip = 1.0 if self.model is not Model.LOCAL_U else 1.0 / self.scheme_epsilon()
-            if chi * lip * dx / 2.0 >= 1.0:
-                raise ValueError(
-                    "mesh Peclet number chi*Lip(A)*dx/2 >= 1; refine dx or widen epsilon"
-                )
+        if chi * self.flux_lipschitz() * dx / 2.0 >= 1.0:
+            raise ValueError("mesh Peclet number chi*Lip(A)*dx/2 >= 1; refine dx or widen epsilon")
         if self.frame.drift_bound() * dx / 2.0 >= 1.0:
             raise ValueError("frame drift mesh Peclet number >= 1; refine dx")
 
@@ -266,6 +271,15 @@ class SimConfig:
         if self.flux.kind is FluxKind.REGULARIZED_LOCAL:
             return self.flux.epsilon
         return self.epsilon_policy.effective(self.grid.dx)
+
+    def flux_lipschitz(self) -> float:
+        """Lip(A) of the flux the scheme differences: 1/eps for the local
+        model, 1 for the ramp, 0 for the FKPP reference (no flux)."""
+        if self.model is Model.FKPP:
+            return 0.0
+        if self.model is Model.LOCAL_U:
+            return 1.0 / self.scheme_epsilon()
+        return 1.0
 
 
 @dataclass
@@ -418,14 +432,7 @@ def stable_dt(cfg: SimConfig) -> float:
     diffusion bound dx^2/2, the advection bound dx/(|c_frame| + chi Lip A),
     and the reaction cap 1/2."""
     dx = cfg.grid.dx
-    chi = cfg.chi_params.chi
-    if cfg.model is Model.FKPP:
-        lip = 0.0
-    elif cfg.model is Model.LOCAL_U:
-        lip = 1.0 / cfg.scheme_epsilon()
-    else:
-        lip = 1.0
-    speed = cfg.frame.drift_bound() + chi * lip
+    speed = cfg.frame.drift_bound() + cfg.chi_params.chi * cfg.flux_lipschitz()
     adv = dx / speed if speed > 0.0 else math.inf
     return cfg.cfl_sigma * min(dx * dx / 2.0, adv, 0.5)
 
@@ -455,15 +462,27 @@ def front_level(cfg: SimConfig) -> float:
     return 1.0
 
 
-def front_field(state: SimState, cfg: SimConfig) -> np.ndarray:
+def front_field(field: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """Field whose level set defines the front (P for the density model)."""
     if cfg.model is Model.NONLOCAL_RHO:
-        return cumulative_mass(state.field, cfg.grid.dx)
-    return state.field
+        return cumulative_mass(field, cfg.grid.dx)
+    return field
+
+
+def front_position(probe: np.ndarray, x_left: float, cfg: SimConfig) -> float | None:
+    """Front in window coordinates: the rightmost crossing of
+    front_level(cfg) by the front field, or None when there is none."""
+    return level_crossing(probe, x_left, cfg.grid.dx, front_level(cfg))
 
 
 class _Kernel:
-    """Per-run cached constants and scratch for the Euler update."""
+    """Per-run cached constants and scratch for the Euler update.
+
+    The update runs in place in preallocated buffers, one operation at a
+    time in the order the formula is written, so each value is rounded
+    exactly as ((v[2:] - 2 v) + v[:-2]) / dx^2 - chi (A[2:] - A[:-2]) / 2dx
+    + (v - A) + c (v[2:] - v[:-2]) / 2dx, times dt, plus v.
+    """
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
@@ -472,41 +491,51 @@ class _Kernel:
         self.inv_dx2 = 1.0 / (self.dx * self.dx)
         self.inv_2dx = 0.5 / self.dx
         self.chi = cfg.chi_params.chi
+        self.adv = self.chi * self.inv_2dx
         self.eps = cfg.scheme_epsilon()
         self.frame = cfg.frame
+        self.bounded = self.model in (Model.LOCAL_U, Model.FKPP)
         self._scratch = np.empty(cfg.grid.n)
-
-    def _flux_values(self, v: np.ndarray) -> np.ndarray:
-        a = self._scratch
-        if self.model is Model.LOCAL_U:
-            np.subtract(v, 1.0 - self.eps, out=a)
-            np.clip(a, 0.0, None, out=a)
-            a /= self.eps
-        else:
-            np.subtract(v, 1.0, out=a)
-            np.clip(a, 0.0, None, out=a)
-        return a
+        self._tmp = np.empty(cfg.grid.n - 2)
+        self._src = np.empty(cfg.grid.n - 2)
+        self._alpha = np.empty(cfg.grid.n)
 
     def step_into(self, v: np.ndarray, t: float, dt: float, out: np.ndarray) -> int:
         c_f = self.frame.drift(t)
-        inner = slice(1, -1)
-        lap = (v[2:] - 2.0 * v[inner] + v[:-2]) * self.inv_dx2
+        vl, vc, vr = v[:-2], v[1:-1], v[2:]
+        tmp = self._tmp
+        rhs = out[1:-1]
+        np.multiply(vc, 2.0, out=rhs)
+        np.subtract(vr, rhs, out=rhs)
+        rhs += vl
+        rhs *= self.inv_dx2
         if self.model is Model.FKPP:
-            rhs = lap + v[inner] * (1.0 - v[inner])
-        elif self.model is Model.NONLOCAL_RHO:
-            p = self.dx * np.cumsum(v[::-1])[::-1]
-            alpha = (p >= 1.0).astype(float)
-            f = alpha * v
-            rhs = lap - (f[2:] - f[:-2]) * (self.chi * self.inv_2dx)
-            rhs += v[inner] * (1.0 - alpha[inner])
+            np.subtract(1.0, vc, out=tmp)
+            tmp *= vc
+            rhs += tmp
         else:
-            a = self._flux_values(v)
-            rhs = lap - (a[2:] - a[:-2]) * (self.chi * self.inv_2dx)
-            rhs += v[inner] - a[inner]
+            src = self._src
+            if self.model is Model.NONLOCAL_RHO:
+                # A = alpha v with alpha = [P >= 1], P = dx * suffix sums of v
+                np.cumsum(v[::-1], out=self._scratch[::-1])
+                self._scratch *= self.dx
+                alpha = np.greater_equal(self._scratch, 1.0, out=self._alpha)
+                a = np.multiply(alpha, v, out=self._scratch)
+                np.subtract(1.0, alpha[1:-1], out=src)
+                src *= vc  # v (1 - alpha)
+            else:
+                a = _ramp_flux(v, self.eps, out=self._scratch)
+                np.subtract(vc, a[1:-1], out=src)  # v - A
+            np.subtract(a[2:], a[:-2], out=tmp)
+            tmp *= self.adv
+            rhs -= tmp
+            rhs += src
         if c_f != 0.0:
-            rhs += (v[2:] - v[:-2]) * (c_f * self.inv_2dx)
-        np.multiply(rhs, dt, out=out[inner])
-        out[inner] += v[inner]
+            np.subtract(vr, vl, out=tmp)
+            tmp *= c_f * self.inv_2dx
+            rhs += tmp
+        rhs *= dt
+        rhs += vc
 
         if self.model is Model.NONLOCAL_P:
             out[-1] = 0.0
@@ -515,19 +544,19 @@ class _Kernel:
             out[0] = v[0]  # plateau held fixed for one step
             out[-1] = 0.0
 
-        if not np.isfinite(out).all():
+        # min and max propagate NaN, and an infinity is one of them
+        mn = float(np.minimum.reduce(out))
+        mx = float(np.maximum.reduce(out))
+        if not (math.isfinite(mn) and math.isfinite(mx)):
             raise RuntimeError("non-finite field value produced")
         clips = 0
-        mn = float(out.min())
         if mn < 0.0:
             if mn < -1e-12:
                 raise RuntimeError(f"undershoot {mn:.3e} exceeds the roundoff budget")
             clips = int((out < 0.0).sum())
-            np.clip(out, 0.0, None, out=out)
-        if self.model in (Model.LOCAL_U, Model.FKPP):
-            mx = float(out.max())
-            if mx > 1.0 + 1e-12:
-                raise RuntimeError(f"overshoot {mx - 1.0:.3e} above the stable state")
+            np.maximum(out, 0.0, out=out)
+        if self.bounded and mx > 1.0 + 1e-12:
+            raise RuntimeError(f"overshoot {mx - 1.0:.3e} above the stable state")
         return clips
 
 
@@ -568,11 +597,7 @@ def _shift_window(field: np.ndarray, k: int, model: Model) -> None:
 
 
 def _maybe_recenter(field: np.ndarray, x_left: float, cfg: SimConfig) -> float:
-    if cfg.model is Model.NONLOCAL_RHO:
-        probe = cumulative_mass(field, cfg.grid.dx)
-    else:
-        probe = field
-    f = level_crossing(probe, x_left, cfg.grid.dx, front_level(cfg))
+    f = front_position(front_field(field, cfg), x_left, cfg)
     if f is None:
         return x_left
     dx = cfg.grid.dx
@@ -649,11 +674,9 @@ def run(
 
 def derived_P(state: SimState, cfg: SimConfig) -> np.ndarray:
     """Cumulative mass field (identity for the P model)."""
-    if cfg.model is Model.NONLOCAL_P:
-        return state.field
-    if cfg.model is Model.NONLOCAL_RHO:
-        return cumulative_mass(state.field, cfg.grid.dx)
-    raise ValueError("cumulative mass is a nonlocal-model quantity")
+    if cfg.model not in (Model.NONLOCAL_P, Model.NONLOCAL_RHO):
+        raise ValueError("cumulative mass is a nonlocal-model quantity")
+    return front_field(state.field, cfg)
 
 
 def derived_rho(state: SimState, cfg: SimConfig) -> np.ndarray:
