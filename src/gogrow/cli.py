@@ -26,7 +26,7 @@ import numpy as np
 from . import asymptotics, solver
 from .diagnostics import FrontTrace, TraceRecorder
 from .profiles import minimal_speed, traveling_wave, eta_local, eta_nonlocal
-from .solver import Model, SimConfig, make_config
+from .solver import FrameKind, Model, SimConfig, make_config
 
 
 def _fmt(v: float) -> str:
@@ -134,13 +134,18 @@ def _build_config(values: dict) -> RunConfig:
         raise ValueError("validation error on `chi`: must be finite and >= 0")
     flux_name = values[("model", "flux")]
     flux = None
+    epsilon_mode = str(values[("model", "epsilon_mode")])
+    epsilon = float(values[("model", "epsilon")])
     if flux_name != "auto":
         if flux_name == "heaviside":
             flux = solver.FluxSpec.local_heaviside()
         elif flux_name == "ramp":
             flux = solver.FluxSpec.nonlocal_ramp()
         elif flux_name == "regularized":
-            flux = solver.FluxSpec.regularized(float(values[("model", "epsilon")]))
+            # epsilon is then the flux width, which the scheme uses as a
+            # fixed epsilon whatever epsilon_mode says
+            flux = solver.FluxSpec.regularized(epsilon)
+            epsilon_mode = "fixed"
         else:
             raise ValueError(f"validation error on `flux`: unknown kind {flux_name!r}")
     init: str | solver.InitPreset = str(values[("run", "init")])
@@ -165,8 +170,8 @@ def _build_config(values: dict) -> RunConfig:
             amplitude=float(values[("run", "amplitude")]),
             cfl_sigma=float(values[("run", "cfl_sigma")]),
             flux=flux,
-            epsilon_mode=str(values[("model", "epsilon_mode")]),
-            epsilon=float(values[("model", "epsilon")]),
+            epsilon_mode=epsilon_mode,
+            epsilon=epsilon,
             left_pad=float(values[("run", "left_pad")]),
             right_pad=float(values[("run", "right_pad")]),
             front_theta=float(values[("run", "front_theta")]),
@@ -238,20 +243,24 @@ class _SnapshotWriter:
             _write_csv(self.out_dir / name, ["x", "rho", "P"], [x, rho, p])
 
 
-def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
+def _open_run(cfg: RunConfig, out_dir: Path) -> tuple[TraceRecorder, list]:
+    """Create the output directory; return the recorder and the observers."""
     out_dir.mkdir(parents=True, exist_ok=True)
     rec = TraceRecorder()
     observers = [rec]
     if cfg.snapshot_every is not None:
         observers.append(_SnapshotWriter(out_dir, cfg.snapshot_every))
-    try:
-        final = solver.run(cfg.sim, observers=observers, trace_every=cfg.trace_every)
-    except RuntimeError as err:
-        _flush_trace(out_dir, rec)
-        _write_summary(out_dir, {"status": 2, "error": str(err)})
-        print(f"runtime abort: {err}", file=sys.stderr)
-        return 2
+    return rec, observers
+
+
+def _close_run(cfg: RunConfig, out_dir: Path, rec: TraceRecorder, final) -> int:
+    """Write trace.csv and summary.json of a run that ended in the final
+    state or in a RuntimeError; return the exit status."""
     _flush_trace(out_dir, rec)
+    if isinstance(final, RuntimeError):
+        _write_summary(out_dir, {"status": 2, "error": str(final)})
+        print(f"runtime abort: {final}", file=sys.stderr)
+        return 2
 
     moments = np.asarray(rec.moment)
     finite = np.isfinite(moments)
@@ -282,6 +291,15 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
+    rec, observers = _open_run(cfg, out_dir)
+    try:
+        final = solver.run(cfg.sim, observers=observers, trace_every=cfg.trace_every)
+    except RuntimeError as err:
+        final = err
+    return _close_run(cfg, out_dir, rec, final)
+
+
 def _write_summary(out_dir: Path, summary: dict) -> None:
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -303,11 +321,24 @@ def _flush_trace(out_dir: Path, rec: TraceRecorder) -> None:
     )
 
 
-def _sweep_job(args: tuple) -> dict:
-    chi, member_cfg, job_dir = args
-    status = cmd_run(member_cfg, Path(job_dir))
+def _sweep_batch(members: list[tuple[float, RunConfig, Path]]) -> list[dict]:
+    """Run sweep members (chi, config, directory) that share
+    solver.batch_key as one batch; one summary row per member."""
+    opened = [_open_run(cfg, job_dir) for _, cfg, job_dir in members]
+    finals = solver.run_batch(
+        [cfg.sim for _, cfg, _ in members],
+        [observers for _, observers in opened],
+        trace_every=members[0][1].trace_every,
+    )
+    return [
+        _sweep_row(chi, job_dir, _close_run(cfg, job_dir, rec, final))
+        for (chi, cfg, job_dir), (rec, _), final in zip(members, opened, finals)
+    ]
+
+
+def _sweep_row(chi: float, job_dir: Path, status: int) -> dict:
     row = {"chi": chi, "c_star": minimal_speed(chi).c_star, "status": status}
-    trace_path = Path(job_dir) / "trace.csv"
+    trace_path = job_dir / "trace.csv"
     r_fit = math.nan
     drift = math.nan
     if trace_path.exists():
@@ -319,7 +350,7 @@ def _sweep_job(args: tuple) -> dict:
             r_fit = fit.r
         except ValueError:
             pass
-        summary_path = Path(job_dir) / "summary.json"
+        summary_path = job_dir / "summary.json"
         if summary_path.exists():
             with open(summary_path) as fh:
                 drift = json.load(fh).get("moment_drift", math.nan)
@@ -338,14 +369,29 @@ def _read_trace(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return t, x
 
 
+def _member_sim(sim: SimConfig, chi: float) -> SimConfig:
+    """sim at another chi: c*(chi) replaces the moving or log frame speed,
+    and SimConfig validation runs again."""
+    cp = minimal_speed(chi)
+    frame = sim.frame
+    if frame.kind is not FrameKind.LAB:
+        frame = dataclasses.replace(frame, c=cp.c_star)
+    return dataclasses.replace(sim, chi_params=cp, frame=frame)
+
+
 def cmd_sweep(chi_list: list[float], cfg: RunConfig, out_dir: Path, jobs: int = 1) -> int:
-    if not chi_list or any(c < 0 for c in chi_list):
-        raise ValueError("validation error on `chi`: sweep needs nonnegative values")
+    """Run one member per chi and write sweep_summary.csv.
+
+    Members that share solver.batch_key step together as one batch; jobs
+    > 1 splits every batch into up to `jobs` parts run in that many
+    processes, and jobs < 1 counts as 1.  Each member's files are those of
+    its own `cmd_run`.
+    """
+    if not chi_list or any(not math.isfinite(c) or c < 0 for c in chi_list):
+        raise ValueError("validation error on `chi`: sweep needs finite nonnegative values")
+    jobs = max(1, jobs)
     # Every member's config is built, and so validated, before any member runs.
-    members = []
-    for chi in chi_list:
-        raw = {**_DEFAULTS, **(cfg.raw or {}), ("model", "chi"): float(chi)}
-        members.append(dataclasses.replace(cfg, sim=_build_config(raw).sim, raw=raw))
+    members = [dataclasses.replace(cfg, sim=_member_sim(cfg.sim, float(chi))) for chi in chi_list]
     out_dir.mkdir(parents=True, exist_ok=True)
     names: list[str] = []
     seen: dict[str, int] = {}
@@ -357,15 +403,23 @@ def cmd_sweep(chi_list: list[float], cfg: RunConfig, out_dir: Path, jobs: int = 
         else:
             seen[base] = 0
             names.append(base)
-    args = [
-        (float(chi), member, str(out_dir / name))
-        for chi, member, name in zip(chi_list, members, names)
-    ]
-    if jobs > 1:
+    batches: dict[tuple, list[int]] = {}
+    for i, member in enumerate(members):
+        batches.setdefault(solver.batch_key(member.sim), []).append(i)
+    parts = []
+    for batch in batches.values():
+        k = min(jobs, len(batch))
+        parts += [batch[len(batch) * p // k : len(batch) * (p + 1) // k] for p in range(k)]
+    work = [[(float(chi_list[i]), members[i], out_dir / names[i]) for i in part] for part in parts]
+    if jobs > 1 and len(work) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_job, args))
+            done = list(pool.map(_sweep_batch, work))
     else:
-        rows = [_sweep_job(a) for a in args]
+        done = [_sweep_batch(w) for w in work]
+    by_member: dict[int, dict] = {}
+    for part, part_rows in zip(parts, done):
+        by_member.update(zip(part, part_rows))
+    rows = [by_member[i] for i in range(len(members))]
     header = ["chi", "c_star", "r_fit", "r_theory", "moment_drift", "pass"]
     with open(out_dir / "sweep_summary.csv", "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -489,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.cmd == "sweep":
             cfg = parse_config(args.config.read_text())
             chi_list = [float(v) for v in str(args.chi).split(",") if v.strip()]
-            return cmd_sweep(chi_list, cfg, args.out, jobs=max(1, args.jobs))
+            return cmd_sweep(chi_list, cfg, args.out, jobs=args.jobs)
         if args.cmd == "wave":
             return cmd_wave(args.chi, args.model, args.xmin, args.xmax, args.dx, args.out)
         if args.cmd == "fit":

@@ -17,7 +17,9 @@ substitute the piecewise-linear regularization with epsilon tied to the
 grid (2 dx by default), or a fixed epsilon for comparison studies.
 
 Runs live on a moving spatial window that recenters itself so the front
-keeps configured margins to both edges.
+keeps configured margins to both edges.  Runs whose configs share
+batch_key step side by side in one flat array (run_batch); a single run
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -475,33 +477,67 @@ def front_position(probe: np.ndarray, x_left: float, cfg: SimConfig) -> float | 
     return level_crossing(probe, x_left, cfg.grid.dx, front_level(cfg))
 
 
-class _Kernel:
-    """Per-run cached constants and scratch for the Euler update.
+def batch_key(cfg: SimConfig) -> tuple:
+    """Configs with equal keys can step together in one run_batch.
 
-    The update runs in place in preallocated buffers, one operation at a
-    time in the order the formula is written, so each value is rounded
-    exactly as ((v[2:] - 2 v) + v[:-2]) / dx^2 - chi (A[2:] - A[:-2]) / 2dx
-    + (v - A) + c (v[2:] - v[:-2]) / 2dx, times dt, plus v.
+    They share model, grid, step, end time, regularization width, flux
+    and frame.
+    """
+    return (
+        cfg.model,
+        cfg.grid.n,
+        cfg.grid.dx,
+        stable_dt(cfg),
+        cfg.t_end,
+        cfg.scheme_epsilon(),
+        cfg.flux,
+        cfg.frame,
+    )
+
+
+class _Kernel:
+    """Cached constants and scratch for the Euler update of B rows.
+
+    The rows of B configs that share batch_key lie end to end in one flat
+    array of B*n nodes.  The update runs in place in preallocated buffers,
+    one operation at a time in the order the formula is written, so each
+    value is rounded exactly as ((v[2:] - 2 v) + v[:-2]) / dx^2
+    - chi (A[2:] - A[:-2]) / 2dx + (v - A) + c (v[2:] - v[:-2]) / 2dx,
+    times dt, plus v.  The stencil reaches into the next row only at the
+    first and last node of a row, which the edge rules then overwrite.
+    chi / 2dx is a per-node column where the rows differ.
     """
 
-    def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
+    def __init__(self, cfgs: Sequence[SimConfig]):
+        cfg = cfgs[0]
         self.model = cfg.model
+        self.n = n = cfg.grid.n
+        self.rows = len(cfgs)
+        size = self.rows * n
         self.dx = cfg.grid.dx
         self.inv_dx2 = 1.0 / (self.dx * self.dx)
         self.inv_2dx = 0.5 / self.dx
-        self.chi = cfg.chi_params.chi
-        self.adv = self.chi * self.inv_2dx
+        adv = [c.chi_params.chi * self.inv_2dx for c in cfgs]
+        self.adv = adv[0] if len(set(adv)) == 1 else np.repeat(adv, n)[1:-1]
         self.eps = cfg.scheme_epsilon()
         self.frame = cfg.frame
         self.bounded = self.model in (Model.LOCAL_U, Model.FKPP)
-        self._scratch = np.empty(cfg.grid.n)
-        self._tmp = np.empty(cfg.grid.n - 2)
-        self._src = np.empty(cfg.grid.n - 2)
-        self._alpha = np.empty(cfg.grid.n)
+        self._scratch = np.empty(size)
+        self._tmp = np.empty(size - 2)
+        self._src = np.empty(size - 2)
+        self._alpha = np.empty(size)
+        # nodes 0, 1, 2 and n-1 of every row; plain indices for one row,
+        # which cost less than strided views
+        self._edges = [i if self.rows == 1 else slice(i, None, n) for i in (0, 1, 2, n - 1)]
 
-    def step_into(self, v: np.ndarray, t: float, dt: float, out: np.ndarray) -> int:
-        c_f = self.frame.drift(t)
+    def step_into(self, v: np.ndarray, t: float, dt: float, out: np.ndarray) -> list | None:
+        """Write the update of every row of v into out.
+
+        Returns None when no row needed a guard; otherwise one entry per
+        row: the number of undershoot nodes clipped to 0, or the message
+        of the guard that failed.
+        """
+        n = self.n
         vl, vc, vr = v[:-2], v[1:-1], v[2:]
         tmp = self._tmp
         rhs = out[1:-1]
@@ -516,8 +552,9 @@ class _Kernel:
         else:
             src = self._src
             if self.model is Model.NONLOCAL_RHO:
-                # A = alpha v with alpha = [P >= 1], P = dx * suffix sums of v
-                np.cumsum(v[::-1], out=self._scratch[::-1])
+                # A = alpha v with alpha = [P >= 1], P = dx * suffix sums of each row
+                rows = self._scratch.reshape(self.rows, n)
+                np.cumsum(v.reshape(self.rows, n)[:, ::-1], axis=1, out=rows[:, ::-1])
                 self._scratch *= self.dx
                 alpha = np.greater_equal(self._scratch, 1.0, out=self._alpha)
                 a = np.multiply(alpha, v, out=self._scratch)
@@ -530,6 +567,7 @@ class _Kernel:
             tmp *= self.adv
             rhs -= tmp
             rhs += src
+        c_f = self.frame.drift(t)
         if c_f != 0.0:
             np.subtract(vr, vl, out=tmp)
             tmp *= c_f * self.inv_2dx
@@ -537,26 +575,37 @@ class _Kernel:
         rhs *= dt
         rhs += vc
 
+        first, second, third, last = self._edges
+        out[last] = 0.0
         if self.model is Model.NONLOCAL_P:
-            out[-1] = 0.0
-            out[0] = 2.0 * out[1] - out[2]  # linear-growth left asymptote
+            out[first] = 2.0 * out[second] - out[third]  # linear-growth left asymptote
         else:
-            out[0] = v[0]  # plateau held fixed for one step
-            out[-1] = 0.0
+            out[first] = v[first]  # plateau held fixed for one step
 
         # min and max propagate NaN, and an infinity is one of them
         mn = float(np.minimum.reduce(out))
         mx = float(np.maximum.reduce(out))
+        if math.isfinite(mn) and math.isfinite(mx) and mn >= 0.0:
+            if not (self.bounded and mx > 1.0 + 1e-12):
+                return None
+        # a guard tripped somewhere: each row in the order of a single run
+        return [self._guard(row) for row in out.reshape(self.rows, n)]
+
+    def _guard(self, row: np.ndarray) -> int | str:
+        """The guards of one row: clips undershoots within the roundoff
+        budget in place and returns their count, or the failure message."""
+        mn = float(np.minimum.reduce(row))
+        mx = float(np.maximum.reduce(row))
         if not (math.isfinite(mn) and math.isfinite(mx)):
-            raise RuntimeError("non-finite field value produced")
+            return "non-finite field value produced"
         clips = 0
         if mn < 0.0:
             if mn < -1e-12:
-                raise RuntimeError(f"undershoot {mn:.3e} exceeds the roundoff budget")
-            clips = int((out < 0.0).sum())
-            np.maximum(out, 0.0, out=out)
+                return f"undershoot {mn:.3e} exceeds the roundoff budget"
+            clips = int((row < 0.0).sum())
+            np.maximum(row, 0.0, out=row)
         if self.bounded and mx > 1.0 + 1e-12:
-            raise RuntimeError(f"overshoot {mx - 1.0:.3e} above the stable state")
+            return f"overshoot {mx - 1.0:.3e} above the stable state"
         return clips
 
 
@@ -564,12 +613,11 @@ def step(state: SimState, cfg: SimConfig, dt: float) -> SimState:
     """One forward-Euler update; dt must respect stable_dt(cfg)."""
     if not (0.0 < dt <= stable_dt(cfg) * (1.0 + 1e-9)):
         raise ValueError(f"dt {dt!r} violates the stability bound {stable_dt(cfg)!r}")
-    kern = _Kernel(cfg)
     out = np.empty_like(state.field)
-    try:
-        clips = kern.step_into(state.field, state.t, dt, out)
-    except RuntimeError as err:
-        raise RuntimeError(f"step at t = {state.t:.6g} failed: {err}") from err
+    guarded = _Kernel([cfg]).step_into(state.field, state.t, dt, out)
+    clips = 0 if guarded is None else guarded[0]
+    if isinstance(clips, str):
+        raise RuntimeError(f"step at t = {state.t:.6g} failed: {clips}")
     return SimState(
         t=state.t + dt,
         x_left=state.x_left,
@@ -616,6 +664,119 @@ def _maybe_recenter(field: np.ndarray, x_left: float, cfg: SimConfig) -> float:
 Observer = Callable[[SimState, SimConfig], None]
 
 
+class _Batch:
+    """The members of a run_batch that are still running: their rows in
+    one flat buffer pair, their window origins and their clip counts."""
+
+    def __init__(self, cfgs: Sequence[SimConfig], observers: Sequence[Sequence[Observer]]):
+        states = [make_state(cfg) for cfg in cfgs]
+        self.cfgs = cfgs
+        self.observers = observers
+        self.n = cfgs[0].grid.n
+        self.live = list(range(len(cfgs)))
+        self.x_left = [s.x_left for s in states]
+        self.clips = [0] * len(cfgs)
+        self.results: list = [None] * len(cfgs)
+        self.cur = np.concatenate([s.field for s in states])
+        self.nxt = np.empty_like(self.cur)
+        self.kern = _Kernel(cfgs)
+
+    def row(self, j: int) -> np.ndarray:
+        return self.cur[j * self.n : (j + 1) * self.n]
+
+    def drop(self, failures: dict) -> None:
+        """Record {row: error} and close the buffer over the rows left."""
+        for j, err in failures.items():
+            self.results[self.live[j]] = err
+        keep = [j for j in range(len(self.live)) if j not in failures]
+        self.live = [self.live[j] for j in keep]
+        self.cur = self.cur.reshape(-1, self.n)[keep].ravel()
+        self.nxt = np.empty_like(self.cur)
+        if self.live:
+            self.kern = _Kernel([self.cfgs[i] for i in self.live])
+
+    def emit(self, t: float) -> None:
+        failures = {}
+        for j, i in enumerate(self.live):
+            snap = SimState(t=t, x_left=self.x_left[i], field=self.row(j), clip_count=self.clips[i])
+            try:
+                for obs in self.observers[i]:
+                    obs(snap, self.cfgs[i])
+            except RuntimeError as err:
+                failures[j] = err
+        if failures:
+            self.drop(failures)
+
+    def recenter(self) -> None:
+        for j, i in enumerate(self.live):
+            self.x_left[i] = _maybe_recenter(self.row(j), self.x_left[i], self.cfgs[i])
+
+    def step(self, k: int, t: float, dt: float) -> None:
+        guarded = self.kern.step_into(self.cur, t, dt, self.nxt)
+        self.cur, self.nxt = self.nxt, self.cur
+        if guarded is None:
+            return
+        failures = {}
+        for j, clips in enumerate(guarded):
+            if isinstance(clips, str):
+                failures[j] = RuntimeError(f"step {k} at t = {t:.6g} failed: {clips}")
+            else:
+                self.clips[self.live[j]] += clips
+        if failures:
+            self.drop(failures)
+
+
+def run_batch(
+    cfgs: Sequence[SimConfig],
+    observers: Sequence[Sequence[Observer]],
+    trace_every: float = 0.5,
+    recenter: bool = True,
+) -> list[SimState | RuntimeError]:
+    """Advance configs that share batch_key side by side; see run.
+
+    observers[i] watches cfgs[i].  Each member recentres on its own and
+    ends with its final state, or with the RuntimeError that its run
+    would raise (a failed step or an observer's); the others go on.  Every
+    member's values, and so its observations, are those of its own run.
+    """
+    if trace_every <= 0.0:
+        raise ValueError("trace_every must be positive")
+    if not cfgs or len(observers) != len(cfgs):
+        raise ValueError("run_batch needs one observer list per config")
+    if len({batch_key(cfg) for cfg in cfgs}) != 1:
+        raise ValueError("run_batch configs must share batch_key")
+    batch = _Batch(cfgs, observers)
+    batch.emit(0.0)
+    t_end = cfgs[0].t_end
+    if t_end > 0.0:
+        dt = stable_dt(cfgs[0])
+        n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
+        dt_last = t_end - dt * (n_steps - 1)
+        recheck = max(1, int(round(0.25 / dt)))
+        next_emit = trace_every
+        for k in range(n_steps):
+            if not batch.live:
+                break
+            batch.step(k, k * dt, dt if k < n_steps - 1 else dt_last)
+            t_new = (k + 1) * dt if k < n_steps - 1 else t_end
+            if recenter and (k + 1) % recheck == 0:
+                batch.recenter()
+            if k == n_steps - 1:
+                batch.emit(t_end)
+            elif t_new >= next_emit - 1e-9:
+                batch.emit(t_new)
+                while next_emit <= t_new + 1e-9:
+                    next_emit += trace_every
+    for j, i in enumerate(batch.live):
+        batch.results[i] = SimState(
+            t=t_end if t_end > 0.0 else 0.0,
+            x_left=batch.x_left[i],
+            field=batch.row(j).copy(),
+            clip_count=batch.clips[i],
+        )
+    return batch.results
+
+
 def run(
     cfg: SimConfig,
     observers: Sequence[Observer] = (),
@@ -629,47 +790,10 @@ def run(
     configured pads; newly exposed cells are filled with the boundary rule
     of the model.
     """
-    if trace_every <= 0.0:
-        raise ValueError("trace_every must be positive")
-    state = make_state(cfg)
-    cur = state.field
-    nxt = np.empty_like(cur)
-    x_left = state.x_left
-    clips = 0
-    kern = _Kernel(cfg)
-
-    def emit(t: float) -> None:
-        snap = SimState(t=t, x_left=x_left, field=cur, clip_count=clips)
-        for obs in observers:
-            obs(snap, cfg)
-
-    emit(0.0)
-    if cfg.t_end <= 0.0:
-        return SimState(t=0.0, x_left=x_left, field=cur, clip_count=clips)
-
-    dt = stable_dt(cfg)
-    n_steps = max(1, int(math.ceil(cfg.t_end / dt - 1e-12)))
-    dt_last = cfg.t_end - dt * (n_steps - 1)
-    recheck = max(1, int(round(0.25 / dt)))
-    next_emit = trace_every
-    for k in range(n_steps):
-        dt_k = dt if k < n_steps - 1 else dt_last
-        t_k = k * dt
-        try:
-            clips += kern.step_into(cur, t_k, dt_k, nxt)
-        except RuntimeError as err:
-            raise RuntimeError(f"step {k} at t = {t_k:.6g} failed: {err}") from err
-        cur, nxt = nxt, cur
-        t_new = (k + 1) * dt if k < n_steps - 1 else cfg.t_end
-        if recenter and (k + 1) % recheck == 0:
-            x_left = _maybe_recenter(cur, x_left, cfg)
-        if k == n_steps - 1:
-            emit(cfg.t_end)
-        elif t_new >= next_emit - 1e-9:
-            emit(t_new)
-            while next_emit <= t_new + 1e-9:
-                next_emit += trace_every
-    return SimState(t=cfg.t_end, x_left=x_left, field=cur, clip_count=clips)
+    (final,) = run_batch([cfg], [observers], trace_every, recenter)
+    if isinstance(final, RuntimeError):
+        raise final
+    return final
 
 
 def derived_P(state: SimState, cfg: SimConfig) -> np.ndarray:
