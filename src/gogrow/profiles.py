@@ -103,10 +103,10 @@ def _return_like(s, out):
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
-def _ramp_flux(v: np.ndarray, epsilon: float | None, out: np.ndarray | None = None) -> np.ndarray:
+def _ramp_flux(v: np.ndarray, epsilon: float | None) -> np.ndarray:
     """Ramp flux without validation: (v - 1)_+ for epsilon None, else the
-    regularized clip(v - (1 - eps), 0) / eps; written into out when given."""
-    out = np.subtract(v, 1.0 if epsilon is None else 1.0 - epsilon, out=out)
+    regularized clip(v - (1 - eps), 0) / eps."""
+    out = np.subtract(v, 1.0 if epsilon is None else 1.0 - epsilon)
     np.maximum(out, 0.0, out=out)
     if epsilon is not None:
         out /= epsilon

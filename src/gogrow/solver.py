@@ -6,7 +6,10 @@ One time step of
 
 (or the logistic reaction for the FKPP reference model) by forward Euler:
 centered second difference for diffusion, centered first differences for
-the frame drift and the flux divergence, pointwise reaction.  Physical
+the frame drift and the flux divergence, pointwise reaction.  Written with
+the reaction field R = v - A(v), the update is two three-point stencils,
+one over v and one over R (see _Kernel); R vanishes at 0 and 1, so both
+stationary states are kept exactly.  Physical
 diffusion has unit coefficient, so at desk-scale resolutions the centered
 advection keeps the update monotone (mesh Peclet number chi * Lip(A) * dx/2
 and |c| dx/2 both below 1, enforced at config validation); monotonicity is
@@ -35,7 +38,6 @@ from .profiles import (
     ChiParams,
     FluxKind,
     FluxSpec,
-    _ramp_flux,
     minimal_speed,
     traveling_wave,
 )
@@ -216,11 +218,10 @@ class WindowPolicy:
     """Margins the front keeps to the window edges before recentring.
 
     Each check tests the right pad first and shifts the window right when
-    it is short; only when it holds is the left pad tested.  Pads that add
+    it is short; only when it holds is the left pad tested, and the window
+    then shifts left at most as far as keeps the right pad.  Pads that add
     up to more than the window cannot both hold, and then the right pad
-    wins: an advancing front leaves the right pad short at nearly every
-    check, so the left pad is ignored (during a slow start the window may
-    jump back and forth between the two positions).
+    wins.
     """
 
     left_pad: float = 15.0
@@ -496,16 +497,21 @@ def batch_key(cfg: SimConfig) -> tuple:
 
 
 class _Kernel:
-    """Cached constants and scratch for the Euler update of B rows.
+    """Cached weights and scratch for the Euler update of B rows.
 
-    The rows of B configs that share batch_key lie end to end in one flat
-    array of B*n nodes.  The update runs in place in preallocated buffers,
-    one operation at a time in the order the formula is written, so each
-    value is rounded exactly as ((v[2:] - 2 v) + v[:-2]) / dx^2
-    - chi (A[2:] - A[:-2]) / 2dx + (v - A) + c (v[2:] - v[:-2]) / 2dx,
-    times dt, plus v.  The stencil reaches into the next row only at the
-    first and last node of a row, which the edge rules then overwrite.
-    chi / 2dx is a per-node column where the rows differ.
+    With lam = dt/dx^2, d = dt c_frame/2dx and m = dt chi/2dx, the update
+    of every interior node is two three-point stencils,
+
+        out = v + corr(v, [lam - d + m, -2 lam, lam + d - m])
+                + corr(R, [-m, dt, m]),
+
+    over v and over its reaction field R = v - A(v) (v(1 - v) with m = 0
+    for the FKPP reference).  R vanishes exactly at 0 and 1, and the
+    v-weights sum to well under half an ulp of 1, so both stationary
+    states are kept exactly.  The rows of B configs that share batch_key
+    lie end to end in one flat array of B*n nodes; each row runs its own
+    pair of weights, so a row of a batch is rounded exactly as its own run.
+    The weights are rebuilt only when dt or the frame drift changes.
     """
 
     def __init__(self, cfgs: Sequence[SimConfig]):
@@ -513,22 +519,61 @@ class _Kernel:
         self.model = cfg.model
         self.n = n = cfg.grid.n
         self.rows = len(cfgs)
-        size = self.rows * n
         self.dx = cfg.grid.dx
-        self.inv_dx2 = 1.0 / (self.dx * self.dx)
-        self.inv_2dx = 0.5 / self.dx
-        adv = [c.chi_params.chi * self.inv_2dx for c in cfgs]
-        self.adv = adv[0] if len(set(adv)) == 1 else np.repeat(adv, n)[1:-1]
-        self.eps = cfg.scheme_epsilon()
+        self.chi = [0.0 if self.model is Model.FKPP else c.chi_params.chi for c in cfgs]
+        eps = cfg.scheme_epsilon()
+        self.plateau_rate = None if eps is None else (1.0 - eps) / eps
         self.frame = cfg.frame
         self.bounded = self.model in (Model.LOCAL_U, Model.FKPP)
-        self._scratch = np.empty(size)
-        self._tmp = np.empty(size - 2)
-        self._src = np.empty(size - 2)
-        self._alpha = np.empty(size)
+        size = self.rows * n
+        self._react = np.empty(size)
+        self._key = None
+        self._weights: list = []
+        # the nodes and interior nodes of each row; rows that share chi share
+        # their weights and take one stencil over the whole array, whose
+        # values across a row boundary the edge rules then overwrite
+        span = size if len(set(self.chi)) == 1 else n
+        self._slices = [(slice(lo, lo + span), slice(lo + 1, lo + span - 1)) for lo in range(0, size, span)]
         # nodes 0, 1, 2 and n-1 of every row; plain indices for one row,
         # which cost less than strided views
         self._edges = [i if self.rows == 1 else slice(i, None, n) for i in (0, 1, 2, n - 1)]
+
+    def _stencils(self, dt: float, drift: float) -> list:
+        """(row, interior, v-weights, R-weights) of every row for this dt
+        and drift."""
+        if self._key != (dt, drift):
+            lam = dt / (self.dx * self.dx)
+            d = dt * drift / (2.0 * self.dx)
+            self._weights = []
+            for (row, inner), chi in zip(self._slices, self.chi):
+                m = dt * chi / (2.0 * self.dx)
+                wv = np.array([lam - d + m, -2.0 * lam, lam + d - m])
+                # with m = 0 (FKPP, chi = 0) the R-stencil is one multiply
+                self._weights.append((row, inner, wv, np.array([-m, dt, m]) if m else None))
+            self._key = (dt, drift)
+        return self._weights
+
+    def _reaction(self, v: np.ndarray) -> np.ndarray:
+        """R = v - A(v) of every row (v(1 - v) for FKPP), into scratch."""
+        r = self._react
+        if self.model is Model.LOCAL_U:
+            # v below the switch, (1 - eps)/eps (1 - v) on the plateau side
+            np.subtract(1.0, v, out=r)
+            r *= self.plateau_rate
+            np.minimum(r, v, out=r)
+        elif self.model is Model.NONLOCAL_P:
+            np.minimum(v, 1.0, out=r)
+        elif self.model is Model.NONLOCAL_RHO:
+            # [P < 1] rho with P = dx * the suffix sums of each row
+            rows = r.reshape(self.rows, self.n)
+            np.cumsum(v.reshape(self.rows, self.n)[:, ::-1], axis=1, out=rows[:, ::-1])
+            r *= self.dx
+            np.less(r, 1.0, out=r)
+            r *= v
+        else:
+            np.subtract(1.0, v, out=r)
+            r *= v
+        return r
 
     def step_into(self, v: np.ndarray, t: float, dt: float, out: np.ndarray) -> list | None:
         """Write the update of every row of v into out.
@@ -537,43 +582,16 @@ class _Kernel:
         row: the number of undershoot nodes clipped to 0, or the message
         of the guard that failed.
         """
-        n = self.n
-        vl, vc, vr = v[:-2], v[1:-1], v[2:]
-        tmp = self._tmp
-        rhs = out[1:-1]
-        np.multiply(vc, 2.0, out=rhs)
-        np.subtract(vr, rhs, out=rhs)
-        rhs += vl
-        rhs *= self.inv_dx2
-        if self.model is Model.FKPP:
-            np.subtract(1.0, vc, out=tmp)
-            tmp *= vc
-            rhs += tmp
-        else:
-            src = self._src
-            if self.model is Model.NONLOCAL_RHO:
-                # A = alpha v with alpha = [P >= 1], P = dx * suffix sums of each row
-                rows = self._scratch.reshape(self.rows, n)
-                np.cumsum(v.reshape(self.rows, n)[:, ::-1], axis=1, out=rows[:, ::-1])
-                self._scratch *= self.dx
-                alpha = np.greater_equal(self._scratch, 1.0, out=self._alpha)
-                a = np.multiply(alpha, v, out=self._scratch)
-                np.subtract(1.0, alpha[1:-1], out=src)
-                src *= vc  # v (1 - alpha)
+        r = self._reaction(v)
+        for row, inner, wv, wr in self._stencils(dt, self.frame.drift(t)):
+            rhs = out[inner]
+            np.add(v[inner], np.correlate(v[row], wv), out=rhs)
+            if wr is None:
+                react = r[inner]
+                react *= dt
+                rhs += react
             else:
-                a = _ramp_flux(v, self.eps, out=self._scratch)
-                np.subtract(vc, a[1:-1], out=src)  # v - A
-            np.subtract(a[2:], a[:-2], out=tmp)
-            tmp *= self.adv
-            rhs -= tmp
-            rhs += src
-        c_f = self.frame.drift(t)
-        if c_f != 0.0:
-            np.subtract(vr, vl, out=tmp)
-            tmp *= c_f * self.inv_2dx
-            rhs += tmp
-        rhs *= dt
-        rhs += vc
+                rhs += np.correlate(r[row], wr)
 
         first, second, third, last = self._edges
         out[last] = 0.0
@@ -589,7 +607,7 @@ class _Kernel:
             if not (self.bounded and mx > 1.0 + 1e-12):
                 return None
         # a guard tripped somewhere: each row in the order of a single run
-        return [self._guard(row) for row in out.reshape(self.rows, n)]
+        return [self._guard(row) for row in out.reshape(self.rows, self.n)]
 
     def _guard(self, row: np.ndarray) -> int | str:
         """The guards of one row: clips undershoots within the roundoff
@@ -655,9 +673,14 @@ def _maybe_recenter(field: np.ndarray, x_left: float, cfg: SimConfig) -> float:
         _shift_window(field, k, cfg.model)
         return x_left + k * dx
     if f - x_left < cfg.window.left_pad:
-        k = int(math.ceil((cfg.window.left_pad - (f - x_left)) / dx))
-        _shift_window(field, -k, cfg.model)
-        return x_left - k * dx
+        # never so far left that the right pad stops holding: it wins
+        k = min(
+            int(math.ceil((cfg.window.left_pad - (f - x_left)) / dx)),
+            int(math.floor((x_right - f - cfg.window.right_pad) / dx)),
+        )
+        if k > 0:
+            _shift_window(field, -k, cfg.model)
+            return x_left - k * dx
     return x_left
 
 
