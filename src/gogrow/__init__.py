@@ -22,7 +22,6 @@ from .profiles import (
     traveling_wave,
 )
 from .solver import (
-    EpsilonPolicy,
     Frame,
     Grid1D,
     InitPreset,

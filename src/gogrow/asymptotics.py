@@ -94,42 +94,26 @@ class SupersolutionParams:
     G = exp(-z^2 / (4(t+t0))), H = exp((z^2/(t+t0) - K) / sqrt(t+t0)),
     scaled by beta (and by z for the pulled family).  K = 4 + K_tilde/2
     with K_tilde >= 1 for the pushmi-pullyu bound and K_tilde = 16 + 9/16
-    for the pulled one; t0 must exceed 16^2.  kappa_exp and gamma_amp are
-    the decay and amplitude knobs of the left branch used by the
-    defect-level construction; s_slope < 1 is the left slope of the pulled
-    nonlocal concatenation and eps_gap = (1 - s_slope)/2 its cusp margin.
+    for the pulled one; t0 must exceed 16^2.  s_slope < 1 is the left
+    slope of the pulled nonlocal concatenation and eps_gap =
+    (1 - s_slope)/2 its cusp margin.
     """
 
     beta: float = 3.0 * math.e
     K: float = 4.5
     t0: float = 400.0
-    kappa_exp: float = 0.75
-    gamma_amp: float = 3.0
     s_slope: float = 0.5
     eps_gap: float = 0.25
 
     def __post_init__(self):
         if self.beta <= 0.0 or self.t0 < 16.0**2:
             raise ValueError("need beta > 0 and t0 >= 256")
-        if not (math.log(3.0) / 2.0 < self.kappa_exp < 1.0):
-            raise ValueError("kappa_exp must lie in (log(3)/2, 1)")
         if not (0.0 < self.s_slope < 1.0):
             raise ValueError("s_slope must lie in (0, 1)")
 
     @staticmethod
-    def pushmi_pullyu(beta: float = 3.0 * math.e, k_tilde: float = 1.0, t0: float = 400.0) -> "SupersolutionParams":
-        if k_tilde < 1.0:
-            raise ValueError("pushmi-pullyu needs K_tilde >= 1")
-        return SupersolutionParams(beta=beta, K=4.0 + k_tilde / 2.0, t0=t0)
-
-    @staticmethod
-    def pulled(
-        chi: float,
-        beta: float = 3.0 * math.e,
-        t0: float = 400.0,
-        p_in_left_slope: float | None = None,
-    ) -> "SupersolutionParams":
-        s = max(1.0 / (2.0 - chi), p_in_left_slope if p_in_left_slope is not None else 0.0)
+    def pulled(chi: float, beta: float = 3.0 * math.e, t0: float = 400.0) -> "SupersolutionParams":
+        s = 1.0 / (2.0 - chi)
         if s >= 1.0:
             raise ValueError("left slope must stay below 1 for the pulled construction")
         k_tilde = 16.0 + 9.0 / 16.0
@@ -329,7 +313,7 @@ def fkpp_reference(cfg: SimConfig, trace_every: float = 0.5) -> FrontTrace:
     machinery and return its half-level front trace."""
     import dataclasses
 
-    ref = dataclasses.replace(cfg, model=Model.FKPP, flux=solver.FluxSpec.local_heaviside())
+    ref = dataclasses.replace(cfg, model=Model.FKPP, epsilon=None)
     rec = TraceRecorder(collect_defect=False, collect_rh=False)
     solver.run(ref, observers=[rec], trace_every=trace_every)
     return rec.front_trace()

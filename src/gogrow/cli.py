@@ -132,22 +132,20 @@ def _build_config(values: dict) -> RunConfig:
     chi = float(values[("model", "chi")])
     if chi < 0.0 or not math.isfinite(chi):
         raise ValueError("validation error on `chi`: must be finite and >= 0")
+    # `flux` only names the model's flux: auto, or the one it has anyway
+    kind = str(values[("model", "kind")])
     flux_name = values[("model", "flux")]
-    flux = None
     epsilon_mode = str(values[("model", "epsilon_mode")])
-    epsilon = float(values[("model", "epsilon")])
-    if flux_name != "auto":
-        if flux_name == "heaviside":
-            flux = solver.FluxSpec.local_heaviside()
-        elif flux_name == "ramp":
-            flux = solver.FluxSpec.nonlocal_ramp()
-        elif flux_name == "regularized":
-            # epsilon is then the flux width, which the scheme uses as a
-            # fixed epsilon whatever epsilon_mode says
-            flux = solver.FluxSpec.regularized(epsilon)
-            epsilon_mode = "fixed"
-        else:
-            raise ValueError(f"validation error on `flux`: unknown kind {flux_name!r}")
+    if flux_name not in ("auto", "heaviside", "ramp", "regularized"):
+        raise ValueError(f"validation error on `flux`: unknown kind {flux_name!r}")
+    if kind == "local_u" and flux_name == "ramp":
+        raise ValueError("validation error: the local model uses a local flux kind")
+    if kind in ("nonlocal_p", "nonlocal_rho") and flux_name in ("heaviside", "regularized"):
+        raise ValueError("validation error: nonlocal models use the ramp flux")
+    if flux_name == "regularized":
+        # epsilon is then the flux width, which the scheme uses as a
+        # fixed epsilon whatever epsilon_mode says
+        epsilon_mode = "fixed"
     init: str | solver.InitPreset = str(values[("run", "init")])
     if init == "file_table":
         path = values[("run", "init_file")]
@@ -159,7 +157,7 @@ def _build_config(values: dict) -> RunConfig:
         init = solver.InitPreset.file_table(table[:, 0], table[:, 1])
     try:
         sim = make_config(
-            model=str(values[("model", "kind")]),
+            model=kind,
             chi=chi,
             dx=float(values[("grid", "dx")]),
             t_end=float(values[("run", "t_end")]),
@@ -169,9 +167,8 @@ def _build_config(values: dict) -> RunConfig:
             init=init,
             amplitude=float(values[("run", "amplitude")]),
             cfl_sigma=float(values[("run", "cfl_sigma")]),
-            flux=flux,
             epsilon_mode=epsilon_mode,
-            epsilon=epsilon,
+            epsilon=float(values[("model", "epsilon")]),
             left_pad=float(values[("run", "left_pad")]),
             right_pad=float(values[("run", "right_pad")]),
             front_theta=float(values[("run", "front_theta")]),
@@ -192,11 +189,15 @@ def _build_config(values: dict) -> RunConfig:
 
 
 def emit_config(cfg: RunConfig) -> str:
-    """Canonical config text; parse(emit(parse(text))) is the identity."""
+    """Canonical config text; parse(emit(parse(text))) is the identity.
+
+    Raises ValueError for a config built in code (raw is None), which has
+    no text form.
+    """
+    if cfg.raw is None:
+        raise ValueError("config built in code, no text form")
     out = []
-    vals = dict(_DEFAULTS)
-    if cfg.raw:
-        vals.update(cfg.raw)
+    vals = {**_DEFAULTS, **cfg.raw}
     vals[("output", "trace_every")] = cfg.trace_every
     vals[("output", "snapshot_every")] = cfg.snapshot_every
     for section in _SCHEMA:

@@ -99,7 +99,7 @@ class _Derived:
         if cfg.model is Model.LOCAL_U:
             # The scheme evolves the regularized flux, so its preserved-sign
             # defect is measured against the matching regularized profile.
-            eta = eta_regularized(cfg.chi_params.chi, cfg.scheme_epsilon(), np.clip(v, 0.0, 1.0))
+            eta = eta_regularized(cfg.chi_params.chi, cfg.epsilon, np.clip(v, 0.0, 1.0))
         elif cfg.model in (Model.NONLOCAL_P, Model.NONLOCAL_RHO):
             eta = eta_nonlocal(cfg.chi_params.chi, np.clip(v, 0.0, None))
         else:
@@ -128,7 +128,7 @@ class _Derived:
         x_left = self.state.x_left
         hi_x = front
         if cfg.model is Model.LOCAL_U:
-            deep = solver.level_crossing(self.probe, x_left, dx, 1.0 - 4.0 * cfg.scheme_epsilon())
+            deep = solver.level_crossing(self.probe, x_left, dx, 1.0 - 4.0 * cfg.epsilon)
             if deep is not None:
                 hi_x = deep
         i0 = int(round((front - x_left) / dx)) - pad
@@ -166,7 +166,7 @@ class _Derived:
         dx = cfg.grid.dx
         chi = cfg.chi_params.chi
         if cfg.model is Model.LOCAL_U:
-            eps = cfg.scheme_epsilon()
+            eps = cfg.epsilon
             x_if = solver.level_crossing(state.field, state.x_left, dx, 1.0 - 2.0 * eps)
             if x_if is None:
                 return None

@@ -16,8 +16,9 @@ and |c| dx/2 both below 1, enforced at config validation); monotonicity is
 what the comparison and ordering tests rely on.
 
 The sharp local flux is never differenced directly: local-model runs
-substitute the piecewise-linear regularization with epsilon tied to the
-grid (2 dx by default), or a fixed epsilon for comparison studies.
+substitute the piecewise-linear regularization of width SimConfig.epsilon,
+which make_config ties to the grid (2 dx by default) or fixes for
+comparison studies.  Every other model's flux follows from the model.
 
 Runs live on a moving spatial window that recenters itself so the front
 keeps configured margins to both edges.  Runs whose configs share
@@ -34,13 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .profiles import (
-    ChiParams,
-    FluxKind,
-    FluxSpec,
-    minimal_speed,
-    traveling_wave,
-)
+from .profiles import ChiParams, minimal_speed, traveling_wave
 
 
 class Model(enum.Enum):
@@ -135,43 +130,6 @@ class Frame:
         return max(abs(self.c), abs(self.c - self.r / self.t0))
 
 
-class EpsilonMode(enum.Enum):
-    FIXED = "fixed"
-    GRID_TIED = "grid_tied"
-
-
-@dataclass(frozen=True)
-class EpsilonPolicy:
-    """How the local-model regularization width is chosen.
-
-    grid_tied multiplies dx (the discrete sharp-flux limit is approached as
-    the grid refines); fixed keeps epsilon constant across grids.
-    """
-
-    mode: EpsilonMode
-    value: float
-
-    def __post_init__(self):
-        if self.mode is EpsilonMode.FIXED and not (0.0 < self.value < 0.5):
-            raise ValueError(f"fixed epsilon must lie in (0, 1/2), got {self.value!r}")
-        if self.mode is EpsilonMode.GRID_TIED and self.value < 1.0:
-            raise ValueError(f"grid-tied multiple must be >= 1, got {self.value!r}")
-
-    @staticmethod
-    def fixed(epsilon: float) -> "EpsilonPolicy":
-        return EpsilonPolicy(EpsilonMode.FIXED, float(epsilon))
-
-    @staticmethod
-    def grid_tied(multiple: float = 2.0) -> "EpsilonPolicy":
-        return EpsilonPolicy(EpsilonMode.GRID_TIED, float(multiple))
-
-    def effective(self, dx: float) -> float:
-        eps = self.value if self.mode is EpsilonMode.FIXED else self.value * dx
-        if not (0.0 < eps < 0.5):
-            raise ValueError(f"effective epsilon {eps!r} outside (0, 1/2); adjust dx or policy")
-        return eps
-
-
 class InitKind(enum.Enum):
     HEAVISIDE = "heaviside"
     TRAVELING_WAVE = "traveling_wave"
@@ -234,15 +192,22 @@ class WindowPolicy:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run: model, grid, frame, initial data and step settings.
+
+    epsilon is the width of the regularized ramp that the scheme
+    differences in place of the local model's Heaviside flux; it is set
+    for local_u and None for every other model, whose flux follows from
+    the model alone.
+    """
+
     model: Model
     chi_params: ChiParams
-    flux: FluxSpec
     grid: Grid1D
     frame: Frame
     init: InitPreset
     t_end: float
     cfl_sigma: float = 0.4
-    epsilon_policy: EpsilonPolicy = EpsilonPolicy.grid_tied(2.0)
+    epsilon: float | None = None
     window: WindowPolicy = WindowPolicy()
     front_theta: float = 1e-6
 
@@ -253,12 +218,10 @@ class SimConfig:
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end!r}")
         if not (0.0 < self.front_theta < 0.5):
             raise ValueError(f"front_theta must lie in (0, 1/2), got {self.front_theta!r}")
-        if self.model in (Model.NONLOCAL_P, Model.NONLOCAL_RHO):
-            if self.flux.kind is not FluxKind.NONLOCAL_RAMP:
-                raise ValueError("nonlocal models use the ramp flux")
-        if self.model is Model.LOCAL_U:
-            if self.flux.kind is FluxKind.NONLOCAL_RAMP:
-                raise ValueError("the local model uses a local flux kind")
+        if (self.epsilon is None) is (self.model is Model.LOCAL_U):
+            raise ValueError("epsilon is set for the local model and only for it")
+        if self.epsilon is not None and not (0.0 < self.epsilon < 0.5):
+            raise ValueError(f"effective epsilon {self.epsilon!r} outside (0, 1/2); adjust dx or epsilon")
         chi = self.chi_params.chi
         dx = self.grid.dx
         # Monotonicity of the centered advection needs mesh Peclet < 1.
@@ -267,21 +230,13 @@ class SimConfig:
         if self.frame.drift_bound() * dx / 2.0 >= 1.0:
             raise ValueError("frame drift mesh Peclet number >= 1; refine dx")
 
-    def scheme_epsilon(self) -> float | None:
-        """Regularization width actually used by the scheme (local model)."""
-        if self.model is not Model.LOCAL_U:
-            return None
-        if self.flux.kind is FluxKind.REGULARIZED_LOCAL:
-            return self.flux.epsilon
-        return self.epsilon_policy.effective(self.grid.dx)
-
     def flux_lipschitz(self) -> float:
         """Lip(A) of the flux the scheme differences: 1/eps for the local
         model, 1 for the ramp, 0 for the FKPP reference (no flux)."""
         if self.model is Model.FKPP:
             return 0.0
         if self.model is Model.LOCAL_U:
-            return 1.0 / self.scheme_epsilon()
+            return 1.0 / self.epsilon
         return 1.0
 
 
@@ -306,7 +261,6 @@ def make_config(
     init: str | InitPreset = "heaviside",
     amplitude: float = 1.0,
     cfl_sigma: float = 0.4,
-    flux: FluxSpec | None = None,
     epsilon_mode: str = "grid_tied",
     epsilon: float = 2.0,
     left_pad: float = 15.0,
@@ -317,7 +271,12 @@ def make_config(
     gaussian_center: float = 0.0,
     gaussian_width: float = 1.0,
 ) -> SimConfig:
-    """Assemble a SimConfig from plain scalars (CLI and test convenience)."""
+    """Assemble a SimConfig from plain scalars (CLI and test convenience).
+
+    epsilon is the local model's regularization width itself
+    (epsilon_mode "fixed") or its multiple of dx ("grid_tied"); it is
+    validated for every model and resolved for local_u only.
+    """
     model = Model(model) if not isinstance(model, Model) else model
     cp = minimal_speed(chi)
     n = int(round(width / dx)) + 1
@@ -330,12 +289,6 @@ def make_config(
             frame = Frame.moving(cp.c_star)
         else:
             frame = Frame.log_shifted(cp.c_star, r=frame_r, t0=frame_t0)
-    if flux is None:
-        flux = (
-            FluxSpec.nonlocal_ramp()
-            if model in (Model.NONLOCAL_P, Model.NONLOCAL_RHO)
-            else FluxSpec.local_heaviside()
-        )
     if not isinstance(init, InitPreset):
         ik = InitKind(init)
         if ik is InitKind.HEAVISIDE:
@@ -346,21 +299,25 @@ def make_config(
             init = InitPreset.gaussian_bump(amplitude, gaussian_center, gaussian_width)
         else:
             raise ValueError("file_table presets need explicit arrays")
-    policy = (
-        EpsilonPolicy.fixed(epsilon)
-        if EpsilonMode(epsilon_mode) is EpsilonMode.FIXED
-        else EpsilonPolicy.grid_tied(epsilon)
-    )
+    epsilon = float(epsilon)
+    if epsilon_mode == "fixed":
+        if not (0.0 < epsilon < 0.5):
+            raise ValueError(f"fixed epsilon must lie in (0, 1/2), got {epsilon!r}")
+    elif epsilon_mode == "grid_tied":
+        if epsilon < 1.0:
+            raise ValueError(f"grid-tied multiple must be >= 1, got {epsilon!r}")
+        epsilon *= grid.dx
+    else:
+        raise ValueError(f"epsilon_mode must be fixed or grid_tied, got {epsilon_mode!r}")
     return SimConfig(
         model=model,
         chi_params=cp,
-        flux=flux,
         grid=grid,
         frame=frame,
         init=init,
         t_end=float(t_end),
         cfl_sigma=float(cfl_sigma),
-        epsilon_policy=policy,
+        epsilon=epsilon if model is Model.LOCAL_U else None,
         window=WindowPolicy(left_pad=float(left_pad), right_pad=float(right_pad)),
         front_theta=float(front_theta),
     )
@@ -481,8 +438,8 @@ def front_position(probe: np.ndarray, x_left: float, cfg: SimConfig) -> float | 
 def batch_key(cfg: SimConfig) -> tuple:
     """Configs with equal keys can step together in one run_batch.
 
-    They share model, grid, step, end time, regularization width, flux
-    and frame.
+    They share model, grid, step, end time, regularization width and
+    frame; the flux follows from the model and that width.
     """
     return (
         cfg.model,
@@ -490,8 +447,7 @@ def batch_key(cfg: SimConfig) -> tuple:
         cfg.grid.dx,
         stable_dt(cfg),
         cfg.t_end,
-        cfg.scheme_epsilon(),
-        cfg.flux,
+        cfg.epsilon,
         cfg.frame,
     )
 
@@ -521,7 +477,7 @@ class _Kernel:
         self.rows = len(cfgs)
         self.dx = cfg.grid.dx
         self.chi = [0.0 if self.model is Model.FKPP else c.chi_params.chi for c in cfgs]
-        eps = cfg.scheme_epsilon()
+        eps = cfg.epsilon
         self.plateau_rate = None if eps is None else (1.0 - eps) / eps
         self.frame = cfg.frame
         self.bounded = self.model in (Model.LOCAL_U, Model.FKPP)

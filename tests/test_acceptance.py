@@ -229,11 +229,11 @@ def test_criterion_07_comparison_ordering():
     ok = True
     cases = [
         ("nonlocal_p", None),
-        ("local_u", FluxSpec.regularized(0.1)),
+        ("local_u", dict(epsilon_mode="fixed", epsilon=0.1)),
     ]
     for model, flux_spec in cases:
         kw = dict(model=model, chi=1.0, dx=0.05, t_end=10.0, x_left=-30.0,
-                  width=60.0, flux=flux_spec)
+                  width=60.0, **(flux_spec or {}))
         cfg_hi = make_config(init=InitPreset.heaviside(1.0), **kw)
         cfg_lo = make_config(init=InitPreset.heaviside(0.8), **kw)
         hi = make_state(cfg_hi)

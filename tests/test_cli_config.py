@@ -1,7 +1,10 @@
-"""Config paths of the CLI: a sweep of a config built in code, and the
-width of the regularized flux."""
+"""Config paths of the CLI: a sweep and the text form of a config built in
+code, the width of the regularized flux, and the flux and epsilon
+settings each model kind accepts."""
 
-from gogrow.cli import RunConfig, cmd_run, cmd_sweep, main
+import pytest
+
+from gogrow.cli import RunConfig, cmd_run, cmd_sweep, emit_config, main
 from gogrow.solver import make_config
 
 
@@ -21,6 +24,13 @@ def test_sweep_of_a_config_built_in_code_uses_its_sim(tmp_path):
             for name in ("trace.csv", "summary.json"):
                 member = (out / f"chi_{chi:.12g}" / name).read_bytes()
                 assert member == (alone / name).read_bytes(), (frame, chi, name)
+
+
+def test_emit_config_refuses_a_config_built_in_code():
+    # with no text behind it, the emitted defaults would describe another run
+    sim = make_config("nonlocal_p", chi=0.5, dx=0.1, t_end=2.0, x_left=-20.0, width=40.0)
+    with pytest.raises(ValueError, match="built in code"):
+        emit_config(RunConfig(sim=sim))
 
 
 REGULARIZED = """
@@ -50,3 +60,67 @@ def test_regularized_flux_epsilon_is_not_a_grid_multiple(tmp_path):
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         traces.append((out / "trace.csv").read_bytes())
     assert traces[0] == traces[1]
+
+
+CONTRACT = """
+[model]
+kind = "{kind}"
+chi = 0.5
+flux = "{flux}"
+{eps}
+[grid]
+dx = 0.1
+x_left = -15
+width = 30
+[run]
+t_end = 0.5
+[output]
+trace_every = 0.25
+"""
+
+# the flux names each model kind accepts
+ACCEPTS = {
+    "local_u": {"auto", "heaviside", "regularized"},
+    "nonlocal_p": {"auto", "ramp"},
+    "nonlocal_rho": {"auto", "ramp"},
+    "fkpp": {"auto", "heaviside", "regularized", "ramp"},
+}
+# epsilon lines as (config text, mode, value)
+EPSILON_LINES = [
+    ("", "grid_tied", 2.0),
+    ("epsilon = 0.1", "grid_tied", 0.1),
+    ('epsilon_mode = "fixed"\nepsilon = 0.1', "fixed", 0.1),
+    ('epsilon_mode = "fixed"\nepsilon = 0.7', "fixed", 0.7),
+    ("epsilon = 6", "grid_tied", 6.0),
+]
+
+
+def _contract_run(tmp_path, name, **fields):
+    cfg = tmp_path / f"{name}.toml"
+    cfg.write_text(CONTRACT.format(**fields))
+    out = tmp_path / name
+    status = main(["run", "--config", str(cfg), "--out", str(out)])
+    return status, (out / "trace.csv").read_bytes() if status == 0 else None
+
+
+@pytest.mark.parametrize("eps_line,mode,eps", EPSILON_LINES,
+                         ids=[f"{m}-{e:g}" for _, m, e in EPSILON_LINES])
+@pytest.mark.parametrize("flux", ["auto", "heaviside", "regularized", "ramp", "bogus"])
+@pytest.mark.parametrize("kind", sorted(ACCEPTS))
+def test_flux_and_epsilon_contract(tmp_path, kind, flux, eps_line, mode, eps):
+    # regularized makes epsilon a fixed width; a grid-tied multiple must be
+    # >= 1, and only the local model resolves it against dx = 0.1
+    if flux == "regularized":
+        mode = "fixed"
+    if mode == "fixed":
+        eps_ok = 0.0 < eps < 0.5
+    else:
+        eps_ok = eps >= 1.0 and (kind != "local_u" or eps * 0.1 < 0.5)
+    expected = 0 if flux in ACCEPTS[kind] and eps_ok else 1
+    status, trace = _contract_run(tmp_path, "run", kind=kind, flux=flux, eps=eps_line)
+    assert status == expected
+    if status == 0 and kind == "local_u" and flux != "auto":
+        # heaviside is auto; regularized is auto with a fixed epsilon
+        same = eps_line if flux == "heaviside" else f'epsilon_mode = "fixed"\nepsilon = {eps}'
+        _, auto = _contract_run(tmp_path, "auto", kind=kind, flux="auto", eps=same)
+        assert trace == auto

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gogrow.profiles import FluxSpec, minimal_speed, traveling_wave
+from gogrow.profiles import minimal_speed, traveling_wave
 from gogrow.solver import (
-    EpsilonPolicy,
     Frame,
     Grid1D,
     InitPreset,
@@ -58,7 +57,7 @@ def test_stable_dt_examples():
     assert stable_dt(cfg) == pytest.approx(5e-4)
     # grid-tied epsilon = 2 dx: advection bound eps*dx = 5e-3 >= dx^2/2
     cfg2 = make_config(model="local_u", chi=1.0, dx=0.05, t_end=1.0)
-    assert cfg2.scheme_epsilon() == pytest.approx(0.1)
+    assert cfg2.epsilon == pytest.approx(0.1)
     assert stable_dt(cfg2) == pytest.approx(0.4 * 0.05**2 / 2)
     with pytest.raises(ValueError):
         make_config(model="local_u", chi=1.0, dx=0.05, t_end=1.0, cfl_sigma=0.0)
@@ -69,15 +68,15 @@ def test_validation_errors():
         make_config(model="local_u", chi=-1.0, dx=0.05, t_end=1.0)
     with pytest.raises(ValueError):  # mesh Peclet: chi/(2*multiple) >= 1
         make_config(model="local_u", chi=4.5, dx=0.05, t_end=1.0, epsilon=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # epsilon belongs to the local model only
         SimConfig(
             model=Model.NONLOCAL_P,
             chi_params=minimal_speed(1.0),
-            flux=FluxSpec.local_heaviside(),
             grid=Grid1D(-20.0, 0.05, 801),
             frame=Frame.lab(),
             init=InitPreset.heaviside(),
             t_end=1.0,
+            epsilon=0.1,
         )
 
 
@@ -221,15 +220,15 @@ def test_range_preservation_nonlocal():
 
 @pytest.mark.parametrize(
     "model,flux_spec",
-    [("nonlocal_p", None), ("local_u", FluxSpec.regularized(0.1))],
+    [("nonlocal_p", None), ("local_u", dict(epsilon_mode="fixed", epsilon=0.1))],
 )
 def test_comparison_ordering(model, flux_spec):
     # ordered data stay ordered under the monotone update
     cfg = make_config(model=model, chi=1.0, dx=0.1, t_end=1.0, x_left=-15.0,
-                      width=30.0, flux=flux_spec, init="traveling_wave", frame="moving")
+                      width=30.0, **(flux_spec or {}), init="traveling_wave", frame="moving")
     hi = make_state(cfg)
     lo_cfg = make_config(model=model, chi=1.0, dx=0.1, t_end=1.0, x_left=-15.0,
-                         width=30.0, flux=flux_spec,
+                         width=30.0, **(flux_spec or {}),
                          init=InitPreset.traveling_wave(amplitude=0.8), frame="moving")
     lo = make_state(lo_cfg)
     dt = stable_dt(cfg)

@@ -46,7 +46,7 @@ def _written_out_step(v, cfg, t, dt):
     dx = cfg.grid.dx
     chi = cfg.chi_params.chi
     if cfg.model.value == "local_u":
-        eps = cfg.scheme_epsilon()
+        eps = cfg.epsilon
         a = np.clip(v - (1.0 - eps), 0.0, None) / eps
     elif cfg.model.value == "nonlocal_p":
         a = np.clip(v - 1.0, 0.0, None)
