@@ -13,7 +13,6 @@ Exit codes: 0 ok, 1 validation error, 2 runtime abort, 3 check failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -413,6 +412,8 @@ def cmd_sweep(chi_list: list[float], cfg: RunConfig, out_dir: Path, jobs: int = 
         parts += [batch[len(batch) * p // k : len(batch) * (p + 1) // k] for p in range(k)]
     work = [[(float(chi_list[i]), members[i], out_dir / names[i]) for i in part] for part in parts]
     if jobs > 1 and len(work) > 1:
+        import concurrent.futures  # pulls in logging; only a parallel sweep needs it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(_sweep_batch, work))
     else:

@@ -9,7 +9,10 @@ centered second difference for diffusion, centered first differences for
 the frame drift and the flux divergence, pointwise reaction.  Written with
 the reaction field R = v - A(v), the update is two three-point stencils,
 one over v and one over R (see _Kernel); R vanishes at 0 and 1, so both
-stationary states are kept exactly.  Physical
+stationary states are kept exactly.  The density model's R = [P < 1] rho
+switches at one node, which each row carries from step to step and
+confirms from one tail sum, falling back to the full suffix sum only
+when roundoff could decide it; R is bit for bit the same.  Physical
 diffusion has unit coefficient, so at desk-scale resolutions the centered
 advection keeps the update monotone (mesh Peclet number chi * Lip(A) * dx/2
 and |c| dx/2 both below 1, enforced at config validation); monotonicity is
@@ -468,6 +471,16 @@ class _Kernel:
     lie end to end in one flat array of B*n nodes; each row runs its own
     pair of weights, so a row of a batch is rounded exactly as its own run.
     The weights are rebuilt only when dt or the frame drift changes.
+
+    The density model's R = [P < 1] rho switches at one node of each row,
+    the first where dx times the sequential suffix sum drops below 1.
+    Rows the kernel stepped are nonnegative, so those sums are monotone
+    and that node decides the whole mask.  Each row keeps its switch node
+    from step to step and confirms it, or a neighbour, from one tail sum
+    (_locate).  When that fails, or no node is known (switch[j] is None:
+    the first step, or after the caller moved or rewrote the row), the
+    row takes the full suffix sum, and fallbacks counts those rows.
+    Either way R is the same 0/1 mask times rho, bit for bit.
     """
 
     def __init__(self, cfgs: Sequence[SimConfig]):
@@ -483,6 +496,14 @@ class _Kernel:
         self.bounded = self.model in (Model.LOCAL_U, Model.FKPP)
         size = self.rows * n
         self._react = np.empty(size)
+        # the switch node of each row (None: unknown), the mask [P < 1]
+        # that matches it, and the roundoff margin that proves it
+        self.switch: list = [None] * self.rows
+        self.fallbacks = 0
+        if self.model is Model.NONLOCAL_RHO:
+            self._mask = np.empty(size)
+            eta = 4.0 * (n + 2) * 2.0**-53
+            self._below, self._above = 1.0 - eta, 1.0 + eta
         self._key = None
         self._weights: list = []
         # the nodes and interior nodes of each row; rows that share chi share
@@ -521,15 +542,58 @@ class _Kernel:
             np.minimum(v, 1.0, out=r)
         elif self.model is Model.NONLOCAL_RHO:
             # [P < 1] rho with P = dx * the suffix sums of each row
-            rows = r.reshape(self.rows, self.n)
-            np.cumsum(v.reshape(self.rows, self.n)[:, ::-1], axis=1, out=rows[:, ::-1])
-            r *= self.dx
-            np.less(r, 1.0, out=r)
-            r *= v
+            n, mask = self.n, self._mask
+            for j, k in enumerate(self.switch):
+                lo = j * n
+                at = None if k is None else self._locate(v[lo : lo + n], k)
+                if at is None:
+                    at = self._suffix_switch(v[lo : lo + n], mask[lo : lo + n])
+                elif at != k:
+                    mask[lo + min(at, k) : lo + max(at, k)] = float(at < k)
+                self.switch[j] = at
+            np.multiply(mask, v, out=r)
         else:
             np.subtract(1.0, v, out=r)
             r *= v
         return r
+
+    def _suffix_switch(self, row: np.ndarray, mask: np.ndarray) -> int | None:
+        """Write [P < 1] of one row from its sequential suffix sums into
+        mask; return the switch node, or None when the mask is not one."""
+        self.fallbacks += 1
+        np.cumsum(row[::-1], out=mask[::-1])
+        mask *= self.dx
+        np.less(mask, 1.0, out=mask)
+        k = self.n - int(np.count_nonzero(mask))
+        return k if mask[k:].all() else None
+
+    def _locate(self, row: np.ndarray, k: int) -> int | None:
+        """The switch node of a nonnegative row, k or a neighbour of it,
+        or None when tail sums cannot prove it.
+
+        Node i is the switch when dx times a tail sum from i lies below
+        1 - eta and dx times one from i - 1 at or above 1 + eta: eta
+        covers the sequential and any other summation of up to n
+        nonnegative terms and the products with dx, so the sequential
+        suffix sums switch there too.
+        """
+        dx, below = self.dx, self._below
+        tail = float(np.add.reduce(row[k:]))
+        if not dx * tail < below and k < self.n:
+            k += 1  # the crossing moved right
+            tail = float(np.add.reduce(row[k:]))
+        if not dx * tail < below:
+            return None
+        for i in (k, k - 1):
+            if i == 0:
+                return 0
+            wider = tail + float(row[i - 1])
+            if dx * wider >= self._above:
+                return i
+            if not dx * wider < below:
+                return None
+            tail = wider  # the crossing moved left
+        return None
 
     def step_into(self, v: np.ndarray, t: float, dt: float, out: np.ndarray) -> list | None:
         """Write the update of every row of v into out.
@@ -683,12 +747,17 @@ class _Batch:
                     obs(snap, self.cfgs[i])
             except RuntimeError as err:
                 failures[j] = err
+            if self.kern.switch[j] is not None and not float(np.minimum.reduce(snap.field)) >= 0.0:
+                self.kern.switch[j] = None  # an observer wrote below 0 or NaN
         if failures:
             self.drop(failures)
 
     def recenter(self) -> None:
         for j, i in enumerate(self.live):
-            self.x_left[i] = _maybe_recenter(self.row(j), self.x_left[i], self.cfgs[i])
+            x_left = _maybe_recenter(self.row(j), self.x_left[i], self.cfgs[i])
+            if x_left != self.x_left[i]:
+                self.kern.switch[j] = None  # the row's crossing moved with it
+            self.x_left[i] = x_left
 
     def step(self, k: int, t: float, dt: float) -> None:
         guarded = self.kern.step_into(self.cur, t, dt, self.nxt)
