@@ -25,7 +25,7 @@ import numpy as np
 from . import asymptotics, solver
 from .diagnostics import FrontTrace, TraceRecorder
 from .profiles import minimal_speed, traveling_wave, eta_local, eta_nonlocal
-from .solver import FrameKind, Model, SimConfig, make_config
+from .solver import Model, SimConfig, make_config
 
 
 def _fmt(v: float) -> str:
@@ -62,6 +62,8 @@ _DEFAULTS = {
 
 # section -> its keys, sections in the order of _DEFAULTS
 _SCHEMA = {section: {k for s, k in _DEFAULTS if s == section} for section, _ in _DEFAULTS}
+# the keys that may be none, and the type of their other values
+_OPTIONAL = {("run", "init_file"): str, ("output", "snapshot_every"): float}
 
 
 @dataclass(frozen=True)
@@ -126,15 +128,41 @@ def _read_values(text: str) -> dict:
     return values
 
 
+def _literal(v) -> str:
+    """A config value as config text."""
+    if v is None:
+        return "none"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, float)):
+        return repr(float(v))
+    return f'"{v}"'
+
+
+def _check_types(values: dict) -> None:
+    """Each value is a number (not a boolean) where its key's default is
+    one, and a string where that is one; only _OPTIONAL keys take none."""
+    for key, v in values.items():
+        if v is None and key in _OPTIONAL:
+            continue
+        if _OPTIONAL.get(key, type(_DEFAULTS[key])) is str:
+            ok, name = isinstance(v, str), "a string"
+        else:
+            ok, name = isinstance(v, (int, float)) and not isinstance(v, bool), "a number"
+        if not ok:
+            raise ValueError(f"validation error on `{key[1]}`: expected {name}, got {_literal(v)}")
+
+
 def _build_config(values: dict) -> RunConfig:
     """Validated RunConfig from a complete {(section, key): value} dict."""
-    chi = float(values[("model", "chi")])
+    _check_types(values)
+    chi = values[("model", "chi")]
     if chi < 0.0 or not math.isfinite(chi):
         raise ValueError("validation error on `chi`: must be finite and >= 0")
     # `flux` only names the model's flux: auto, or the one it has anyway
-    kind = str(values[("model", "kind")])
+    kind = values[("model", "kind")]
     flux_name = values[("model", "flux")]
-    epsilon_mode = str(values[("model", "epsilon_mode")])
+    epsilon_mode = values[("model", "epsilon_mode")]
     if flux_name not in ("auto", "heaviside", "ramp", "regularized"):
         raise ValueError(f"validation error on `flux`: unknown kind {flux_name!r}")
     if kind == "local_u" and flux_name == "ramp":
@@ -145,7 +173,7 @@ def _build_config(values: dict) -> RunConfig:
         # epsilon is then the flux width, which the scheme uses as a
         # fixed epsilon whatever epsilon_mode says
         epsilon_mode = "fixed"
-    init: str | solver.InitPreset = str(values[("run", "init")])
+    init: str | solver.InitPreset = values[("run", "init")]
     if init == "file_table":
         path = values[("run", "init_file")]
         if not path:
@@ -154,28 +182,12 @@ def _build_config(values: dict) -> RunConfig:
         if table.ndim != 2 or table.shape[1] < 2:
             raise ValueError("validation error on `init_file`: need two CSV columns x,v")
         init = solver.InitPreset.file_table(table[:, 0], table[:, 1])
+    # every [model], [grid] and [run] key but these two is a make_config argument
+    kw = {key: v for (section, key), v in values.items()
+          if section != "output" and key not in ("flux", "init_file")}
+    kw.update(model=kw.pop("kind"), epsilon_mode=epsilon_mode, init=init)
     try:
-        sim = make_config(
-            model=kind,
-            chi=chi,
-            dx=float(values[("grid", "dx")]),
-            t_end=float(values[("run", "t_end")]),
-            x_left=float(values[("grid", "x_left")]),
-            width=float(values[("grid", "width")]),
-            frame=str(values[("run", "frame")]),
-            init=init,
-            amplitude=float(values[("run", "amplitude")]),
-            cfl_sigma=float(values[("run", "cfl_sigma")]),
-            epsilon_mode=epsilon_mode,
-            epsilon=float(values[("model", "epsilon")]),
-            left_pad=float(values[("run", "left_pad")]),
-            right_pad=float(values[("run", "right_pad")]),
-            front_theta=float(values[("run", "front_theta")]),
-            frame_r=float(values[("run", "frame_r")]),
-            frame_t0=float(values[("run", "frame_t0")]),
-            gaussian_center=float(values[("run", "gaussian_center")]),
-            gaussian_width=float(values[("run", "gaussian_width")]),
-        )
+        sim = make_config(**kw)
     except ValueError as err:
         raise ValueError(f"validation error: {err}") from err
     snap = values[("output", "snapshot_every")]
@@ -202,25 +214,20 @@ def emit_config(cfg: RunConfig) -> str:
     for section in _SCHEMA:
         out.append(f"[{section}]")
         for key in sorted(_SCHEMA[section]):
-            v = vals[(section, key)]
-            if v is None:
-                rep = "none"
-            elif isinstance(v, bool):
-                rep = "true" if v else "false"
-            elif isinstance(v, (int, float)):
-                rep = repr(float(v))
-            else:
-                rep = f'"{v}"'
-            out.append(f"{key} = {rep}")
+            out.append(f"{key} = {_literal(vals[(section, key)])}")
         out.append("")
     return "\n".join(out)
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def _csv_text(header: list[str], columns: list) -> str:
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(float(v)) for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
+        fh.write(_csv_text(header, columns))
 
 
 class _SnapshotWriter:
@@ -371,10 +378,11 @@ def _read_trace(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 def _member_sim(sim: SimConfig, chi: float) -> SimConfig:
     """sim at another chi: c*(chi) replaces the moving or log frame speed,
-    and SimConfig validation runs again."""
+    and SimConfig validation runs again.  make_config builds those frames
+    at c*(chi) >= 2 only, and a frame at c = 0 is the lab frame."""
     cp = minimal_speed(chi)
     frame = sim.frame
-    if frame.kind is not FrameKind.LAB:
+    if frame.c != 0.0:
         frame = dataclasses.replace(frame, c=cp.c_star)
     return dataclasses.replace(sim, chi_params=cp, frame=frame)
 
@@ -423,10 +431,7 @@ def cmd_sweep(chi_list: list[float], cfg: RunConfig, out_dir: Path, jobs: int = 
         by_member.update(zip(part, part_rows))
     rows = [by_member[i] for i in range(len(members))]
     header = ["chi", "c_star", "r_fit", "r_theory", "moment_drift", "pass"]
-    with open(out_dir / "sweep_summary.csv", "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(float(row[k])) for k in header) + "\n")
+    _write_csv(out_dir / "sweep_summary.csv", header, [[row[k] for row in rows] for k in header])
     return 0 if all(r["status"] == 0 for r in rows) else 2
 
 
@@ -452,9 +457,7 @@ def cmd_wave(chi: float, model: str, x_min: float, x_max: float, dx: float, out_
     header = ["x", "u_tw", "rho_tw", "P_tw", "eta_of_value", "shape_defect_check"]
     cols = [x, u, rho, p, eta_vals, defect]
     if out_path is None:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            sys.stdout.write(",".join(_fmt(float(v)) for v in row) + "\n")
+        sys.stdout.write(_csv_text(header, cols))
     else:
         _write_csv(out_path, header, cols)
     return 0

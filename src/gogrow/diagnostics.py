@@ -104,7 +104,7 @@ class _Derived:
             eta = eta_nonlocal(cfg.chi_params.chi, np.clip(v, 0.0, None))
         else:
             raise ValueError("shape defect is defined for the go-or-grow models only")
-        return -_centered_slope(v, cfg.grid.dx) - eta
+        return -solver.centered_slope(v, cfg.grid.dx) - eta
 
     @cached_property
     def keep(self) -> np.ndarray:
@@ -205,14 +205,6 @@ def moving_frame_z(state: SimState, cfg: SimConfig) -> np.ndarray:
     """Node coordinates in the speed-c moving frame, z = x_lab - c t."""
     x = cfg.grid.nodes(state.x_left)
     return x + cfg.frame.shift(state.t) - cfg.chi_params.c_star * state.t
-
-
-def _centered_slope(v: np.ndarray, dx: float) -> np.ndarray:
-    s = np.empty_like(v)
-    s[1:-1] = (v[2:] - v[:-2]) * (0.5 / dx)
-    s[0] = (v[1] - v[0]) / dx
-    s[-1] = (v[-1] - v[-2]) / dx
-    return s
 
 
 def shape_defect(

@@ -16,7 +16,9 @@ when roundoff could decide it; R is bit for bit the same.  Physical
 diffusion has unit coefficient, so at desk-scale resolutions the centered
 advection keeps the update monotone (mesh Peclet number chi * Lip(A) * dx/2
 and |c| dx/2 both below 1, enforced at config validation); monotonicity is
-what the comparison and ordering tests rely on.
+what the comparison and ordering tests rely on.  The frame is the front
+law s(t) = c t - r log(t + t0) used as a coordinate, with drift
+c_frame(t) = c - r/(t + t0); the lab and moving frames are its r = 0 cases.
 
 The sharp local flux is never differenced directly: local-model runs
 substitute the piecewise-linear regularization of width SimConfig.epsilon,
@@ -26,7 +28,8 @@ comparison studies.  Every other model's flux follows from the model.
 Runs live on a moving spatial window that recenters itself so the front
 keeps configured margins to both edges.  Runs whose configs share
 batch_key step side by side in one flat array (run_batch); a single run
-is a batch of one.
+is a batch of one.  Only the batch writes a row: observers read it
+through a read-only view.
 """
 
 from __future__ import annotations
@@ -46,12 +49,6 @@ class Model(enum.Enum):
     NONLOCAL_P = "nonlocal_p"
     NONLOCAL_RHO = "nonlocal_rho"
     FKPP = "fkpp"  # logistic reference: v_t = v_xx + v(1 - v), no flux
-
-
-class FrameKind(enum.Enum):
-    LAB = "lab"
-    MOVING = "moving"
-    LOG_SHIFTED = "log_shifted"
 
 
 @dataclass(frozen=True)
@@ -81,55 +78,45 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class Frame:
-    """Reference frame: lab, speed-c moving, or log-shifted moving.
+    """Reference frame moving with the front law s(t) = c t - r log(t + t0).
 
-    The coordinate shift s(t) maps grid coordinates to lab coordinates,
-    x_lab = x_grid + s(t): 0, c*t, or c*t - r*log(t + t0).
+    s(t) maps grid coordinates to lab coordinates, x_lab = x_grid + s(t).
+    The lab frame is c = r = 0, a speed-c moving frame r = 0, and the
+    log-shifted frame r = 1/2 or 3/2, the paper's delays; with r = 0 the
+    log term is +0 and leaves c t and c exactly as they are.
     """
 
-    kind: FrameKind
     c: float = 0.0
-    r: float = 0.5
+    r: float = 0.0
     t0: float = 1.0
 
     def __post_init__(self):
-        if self.kind is FrameKind.LOG_SHIFTED:
-            if self.r not in (0.5, 1.5):
-                raise ValueError(f"log-shift exponent r must be 1/2 or 3/2, got {self.r!r}")
-            if self.t0 < 1.0:
-                raise ValueError(f"log-shift t0 must be >= 1, got {self.t0!r}")
+        if self.r not in (0.0, 0.5, 1.5):
+            raise ValueError(f"log-shift exponent r must be 0, 1/2 or 3/2, got {self.r!r}")
+        if not self.t0 >= 1.0:
+            raise ValueError(f"log-shift t0 must be >= 1, got {self.t0!r}")
 
     @staticmethod
     def lab() -> "Frame":
-        return Frame(FrameKind.LAB)
+        return Frame()
 
     @staticmethod
     def moving(c: float) -> "Frame":
-        return Frame(FrameKind.MOVING, c=float(c))
+        return Frame(c=float(c))
 
     @staticmethod
     def log_shifted(c: float, r: float = 0.5, t0: float = 1.0) -> "Frame":
-        return Frame(FrameKind.LOG_SHIFTED, c=float(c), r=float(r), t0=float(t0))
+        if r not in (0.5, 1.5):
+            raise ValueError(f"log-shift exponent r must be 1/2 or 3/2, got {r!r}")
+        return Frame(c=float(c), r=float(r), t0=float(t0))
 
     def shift(self, t: float) -> float:
-        if self.kind is FrameKind.LAB:
-            return 0.0
-        if self.kind is FrameKind.MOVING:
-            return self.c * t
         return self.c * t - self.r * math.log(t + self.t0)
 
     def drift(self, t: float) -> float:
-        if self.kind is FrameKind.LAB:
-            return 0.0
-        if self.kind is FrameKind.MOVING:
-            return self.c
         return self.c - self.r / (t + self.t0)
 
     def drift_bound(self) -> float:
-        if self.kind is FrameKind.LAB:
-            return 0.0
-        if self.kind is FrameKind.MOVING:
-            return abs(self.c)
         return max(abs(self.c), abs(self.c - self.r / self.t0))
 
 
@@ -284,14 +271,14 @@ def make_config(
     cp = minimal_speed(chi)
     n = int(round(width / dx)) + 1
     grid = Grid1D(x_left=float(x_left), dx=float(dx), n=n)
-    if not isinstance(frame, Frame):
-        fk = FrameKind(frame)
-        if fk is FrameKind.LAB:
-            frame = Frame.lab()
-        elif fk is FrameKind.MOVING:
-            frame = Frame.moving(cp.c_star)
-        else:
-            frame = Frame.log_shifted(cp.c_star, r=frame_r, t0=frame_t0)
+    if frame == "lab":
+        frame = Frame.lab()
+    elif frame == "moving":
+        frame = Frame.moving(cp.c_star)
+    elif frame == "log_shifted":
+        frame = Frame.log_shifted(cp.c_star, r=frame_r, t0=frame_t0)
+    elif not isinstance(frame, Frame):
+        raise ValueError(f"frame must be lab, moving or log_shifted, got {frame!r}")
     if not isinstance(init, InitPreset):
         ik = InitKind(init)
         if ik is InitKind.HEAVISIDE:
@@ -477,9 +464,10 @@ class _Kernel:
     Rows the kernel stepped are nonnegative, so those sums are monotone
     and that node decides the whole mask.  Each row keeps its switch node
     from step to step and confirms it, or a neighbour, from one tail sum
-    (_locate).  When that fails, or no node is known (switch[j] is None:
-    the first step, or after the caller moved or rewrote the row), the
-    row takes the full suffix sum, and fallbacks counts those rows.
+    (_locate), which refuses a row that a recentring shift moved by more
+    than a node.  When that fails, or no node is known (switch[j] is None:
+    the first step of a new kernel, or a row whose mask was not one step),
+    the row takes the full suffix sum, and fallbacks counts those rows.
     Either way R is the same 0/1 mask times rho, bit for bit.
     """
 
@@ -741,23 +729,20 @@ class _Batch:
     def emit(self, t: float) -> None:
         failures = {}
         for j, i in enumerate(self.live):
-            snap = SimState(t=t, x_left=self.x_left[i], field=self.row(j), clip_count=self.clips[i])
+            view = self.row(j)
+            view.flags.writeable = False
+            snap = SimState(t=t, x_left=self.x_left[i], field=view, clip_count=self.clips[i])
             try:
                 for obs in self.observers[i]:
                     obs(snap, self.cfgs[i])
             except RuntimeError as err:
                 failures[j] = err
-            if self.kern.switch[j] is not None and not float(np.minimum.reduce(snap.field)) >= 0.0:
-                self.kern.switch[j] = None  # an observer wrote below 0 or NaN
         if failures:
             self.drop(failures)
 
     def recenter(self) -> None:
         for j, i in enumerate(self.live):
-            x_left = _maybe_recenter(self.row(j), self.x_left[i], self.cfgs[i])
-            if x_left != self.x_left[i]:
-                self.kern.switch[j] = None  # the row's crossing moved with it
-            self.x_left[i] = x_left
+            self.x_left[i] = _maybe_recenter(self.row(j), self.x_left[i], self.cfgs[i])
 
     def step(self, k: int, t: float, dt: float) -> None:
         guarded = self.kern.step_into(self.cur, t, dt, self.nxt)
@@ -786,6 +771,8 @@ def run_batch(
     ends with its final state, or with the RuntimeError that its run
     would raise (a failed step or an observer's); the others go on.  Every
     member's values, and so its observations, are those of its own run.
+    Any other error of an observer, such as the ValueError of a write
+    into the read-only field, leaves run_batch.
     """
     if trace_every <= 0.0:
         raise ValueError("trace_every must be positive")
@@ -834,9 +821,11 @@ def run(
     """Advance from the initial preset to t_end with the stable step.
 
     Observers are invoked at t = 0, at every multiple of trace_every, and
-    at the final time.  The window recenters so the front keeps the
-    configured pads; newly exposed cells are filled with the boundary rule
-    of the model.
+    at the final time, with a SimState whose field is a read-only view of
+    the live row: they read the run and cannot change it, and one that
+    raises RuntimeError ends the run with it.  The window recenters so the
+    front keeps the configured pads; newly exposed cells are filled with
+    the boundary rule of the model.
     """
     (final,) = run_batch([cfg], [observers], trace_every, recenter)
     if isinstance(final, RuntimeError):
@@ -856,10 +845,14 @@ def derived_rho(state: SimState, cfg: SimConfig) -> np.ndarray:
     if cfg.model is Model.NONLOCAL_RHO:
         return state.field
     if cfg.model is Model.NONLOCAL_P:
-        p = state.field
-        rho = np.empty_like(p)
-        rho[1:-1] = (p[:-2] - p[2:]) * (0.5 / cfg.grid.dx)
-        rho[0] = (p[0] - p[1]) / cfg.grid.dx
-        rho[-1] = (p[-2] - p[-1]) / cfg.grid.dx
-        return rho
+        return centered_slope(-state.field, cfg.grid.dx)
     raise ValueError("rho is a nonlocal-model quantity")
+
+
+def centered_slope(v: np.ndarray, dx: float) -> np.ndarray:
+    """v_x by centered differences inside, one-sided at the two ends."""
+    s = np.empty_like(v)
+    s[1:-1] = (v[2:] - v[:-2]) * (0.5 / dx)
+    s[0] = (v[1] - v[0]) / dx
+    s[-1] = (v[-1] - v[-2]) / dx
+    return s

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gogrow.cli import cmd_run, cmd_sweep, cmd_wave, emit_config, main, parse_config
+from gogrow.solver import Frame
 
 MINIMAL = """
 [model]
@@ -23,7 +24,7 @@ t_end = 2.0
 def test_parse_minimal_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.sim.cfl_sigma == 0.4
-    assert cfg.sim.frame.kind.value == "lab"
+    assert cfg.sim.frame == Frame.lab()
     assert cfg.sim.init.kind.value == "heaviside"
     assert cfg.sim.t_end == 2.0
     assert cfg.trace_every == 0.5

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from gogrow import solver
-from gogrow.diagnostics import TraceRecorder
 
 FRAMES = {
     "lab": solver.Frame.lab(),
@@ -100,37 +99,44 @@ def test_runs_equal_the_full_suffix_sums(monkeypatch, kernels, frame, rows):
         assert all(seen[-1][1] > seen[0][1] for _, seen in fast)
 
 
-class _PoisonAtOne(TraceRecorder):
-    """Recorder that writes NaN into the field it watches once t >= 1."""
-
-    def __call__(self, state, cfg):
-        super().__call__(state, cfg)
-        if state.t >= 1.0:
-            state.field[40] = math.nan
-
-
-def _sink_at_one(state, cfg):
-    """Observer that, once at t = 1, writes minus the row's whole mass far
-    left of the front: the suffix sums there drop below 1 again."""
-    if 1.0 <= state.t < 1.2:
-        state.field[5] = -float(np.sum(state.field)) - 1.0
-
-
 @pytest.mark.parametrize("frame", ("lab", "moving"))
-def test_dropped_member_equals_the_full_suffix_sums(monkeypatch, kernels, frame):
+def test_dropped_member_equals_the_full_suffix_sums(monkeypatch, kernels, poison, frame):
     cfgs = _cfgs(frame, BATCH_CHIS, t_end=3.0)
-    fast, full, _ = _both_ways(monkeypatch, kernels, cfgs, lambda j: [_PoisonAtOne()] if j == 1 else [])
+    poison(1.0, 1.0)  # the chi = 1 member fails at its first step past t = 1
+    fast, full, _ = _both_ways(monkeypatch, kernels, cfgs)
     assert fast == full
     assert "non-finite" in fast[1][0]
     assert not isinstance(fast[0][0], str) and not isinstance(fast[2][0], str)
 
 
-def test_observer_write_below_zero_equals_the_full_suffix_sums(monkeypatch, kernels):
-    cfgs = _cfgs("lab", BATCH_CHIS, t_end=2.0)
-    fast, full, _ = _both_ways(monkeypatch, kernels, cfgs, lambda j: [_sink_at_one] if j == 2 else [])
-    assert fast == full
-    assert "undershoot" in fast[2][0]
-    assert not isinstance(fast[0][0], str)
+class _Writer:
+    """Observer that tries to write into every state it sees, far left of
+    the front, and keeps the errors it gets."""
+
+    def __init__(self):
+        self.errors = []
+
+    def __call__(self, state, cfg):
+        try:
+            state.field[5] = -float(np.sum(state.field)) - 1.0
+        except ValueError as err:
+            self.errors.append(err)
+
+
+@pytest.mark.parametrize("rows", (1, 3))
+def test_observers_read_a_read_only_state(rows):
+    cfgs = _cfgs("lab", BATCH_CHIS if rows == 3 else (0.5,), t_end=2.0)
+    writer = _Writer()
+    watched = _observed(cfgs, lambda j: [writer] if j == rows - 1 else [])
+    assert watched == _observed(cfgs, lambda j: [])
+    assert len(writer.errors) == len(watched[-1][1])  # every write refused
+    assert all("read-only" in str(err) for err in writer.errors)
+
+    def write(state, cfg):
+        state.field *= 1.0
+
+    with pytest.raises(ValueError, match="read-only"):
+        _run(cfgs, [[write] for _ in cfgs])
 
 
 def _row(*edits):

@@ -47,6 +47,23 @@ def test_frame_shift_and_drift():
         Frame.log_shifted(2.0, r=0.5, t0=0.5)
 
 
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 7.0, 400.0])
+def test_frame_formulas_are_exact(t):
+    # shift, drift and drift_bound are the written-out closed forms, bit for bit
+    lab = Frame.lab()
+    assert (lab.shift(t), lab.drift(t), lab.drift_bound()) == (0.0, 0.0, 0.0)
+    mv = Frame.moving(2.5)
+    assert (mv.shift(t), mv.drift(t), mv.drift_bound()) == (2.5 * t, 2.5, 2.5)
+    for r in (0.5, 1.5):
+        for t0 in (1.0, 100.0):
+            ls = Frame.log_shifted(2.0, r=r, t0=t0)
+            assert ls.shift(t) == 2.0 * t - r * math.log(t + t0)
+            assert ls.drift(t) == 2.0 - r / (t + t0)
+            assert ls.drift_bound() == max(2.0, abs(2.0 - r / t0))
+    with pytest.raises(ValueError):
+        Frame.log_shifted(2.0, r=0.0)  # that is the moving frame
+
+
 # ---------------------------------------------------------------------------
 # stable_dt
 

@@ -8,8 +8,6 @@ change every step, equals its standalone runs bit for bit; and the window
 never walks off the front.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -121,26 +119,18 @@ def test_one_state_is_exact(model, frame, rows):
             assert np.all(rows_out[:, -1] == 0.0)  # the pinned right edge
 
 
-class _PoisonAtHalf(TraceRecorder):
-    """Recorder that writes NaN into the field it watches once t >= 0.5."""
-
-    def __call__(self, state, cfg):
-        super().__call__(state, cfg)
-        if state.t >= 0.5:
-            state.field[40] = math.nan
-
-
 def _columns(rec):
     return np.array([rec.t, rec.x_front, rec.moment, rec.min_defect, rec.weighted_sup, rec.rh_residual])
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_log_shifted_batch_equals_standalone_runs(model):
+def test_log_shifted_batch_equals_standalone_runs(poison, model):
     frame = solver.Frame.log_shifted(2.0, r=1.5, t0=1.0)
     cfgs = [solver.make_config(model, chi=chi, dx=0.1, t_end=1.0, x_left=-10.0, width=30.0,
                                frame=frame, left_pad=5.0, right_pad=10.0)
             for chi in (0.3, 1.0, 2.0)]
-    recorders = [TraceRecorder(), _PoisonAtHalf(), TraceRecorder()]
+    poison(1.0, 0.5)  # the chi = 1 member fails at its first step past t = 0.5
+    recorders = [TraceRecorder() for _ in cfgs]
     finals = solver.run_batch(cfgs, [[rec] for rec in recorders], trace_every=0.25)
     assert isinstance(finals[1], RuntimeError)
     assert "non-finite" in str(finals[1])

@@ -2,7 +2,6 @@
 batch.  Every member must still write the bytes of its own `gogrow run`,
 whatever the batch, the number of processes, or a neighbour's failure."""
 
-import math
 import multiprocessing
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 
 from gogrow import cli, solver
 from gogrow.cli import main
-from gogrow.diagnostics import TraceRecorder
 
 MODELS = ("local_u", "nonlocal_p", "nonlocal_rho", "fkpp")
 
@@ -88,23 +86,13 @@ def test_sweep_members_equal_standalone_runs(tmp_path, model, frame):
         assert last["x"][0] != -10.0
 
 
-class _PoisonAtHalf(TraceRecorder):
-    """Recorder that writes NaN into the field of the chi = 1 member once
-    t >= 0.5, after taking its sample."""
-
-    def __call__(self, state, cfg):
-        super().__call__(state, cfg)
-        if cfg.chi_params.chi == 1.0 and state.t >= 0.5:
-            state.field[40] = math.nan
-
-
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_failed_member_leaves_the_others_alone(tmp_path, monkeypatch, jobs):
+def test_failed_member_leaves_the_others_alone(tmp_path, poison, jobs):
     if jobs > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("the patched recorder reaches worker processes only when they are forked")
+        pytest.skip("the patched batch reaches worker processes only when they are forked")
     rc, clean = _sweep(tmp_path, "nonlocal_p", "lab", BATCH_CHIS["lab"], "clean")
     assert rc == 0
-    monkeypatch.setattr(cli, "TraceRecorder", _PoisonAtHalf)
+    poison(1.0, 0.5)  # the chi = 1 member fails at its first step past t = 0.5
     rc, poisoned = _sweep(tmp_path, "nonlocal_p", "lab", BATCH_CHIS["lab"], "poisoned", jobs=jobs)
     assert rc == 2
     rc, alone = _run(tmp_path, "nonlocal_p", "lab", 1.0)
