@@ -8,8 +8,6 @@ diagnostics, and the front-delay verification layer.
 from .lambertw import lambert_w_minus1
 from .profiles import (
     ChiParams,
-    FluxKind,
-    FluxSpec,
     Regime,
     RegularizationConstants,
     eta_local,
@@ -39,7 +37,6 @@ from .solver import (
 from .diagnostics import (
     FrontTrace,
     MomentKind,
-    MomentTrace,
     TraceRecorder,
     exponential_moment,
     front_location,

@@ -76,10 +76,11 @@ class RunConfig:
     raw: dict | None = None
 
     def __post_init__(self):
-        if self.trace_every <= 0.0:
-            raise ValueError("trace_every must be positive")
-        if self.snapshot_every is not None and self.snapshot_every <= 0.0:
-            raise ValueError("snapshot_every must be positive")
+        if not (self.trace_every > 0.0 and math.isfinite(self.trace_every)):
+            raise ValueError("trace_every must be positive and finite")
+        snap = self.snapshot_every
+        if snap is not None and not (snap > 0.0 and math.isfinite(snap)):
+            raise ValueError("snapshot_every must be positive and finite")
 
 
 def _parse_value(text: str, lineno: int):
@@ -140,15 +141,17 @@ def _literal(v) -> str:
 
 
 def _check_types(values: dict) -> None:
-    """Each value is a number (not a boolean) where its key's default is
-    one, and a string where that is one; only _OPTIONAL keys take none."""
+    """Each value is a finite number (not a boolean) where its key's
+    default is one, and a string where that is one; only _OPTIONAL keys
+    take none."""
     for key, v in values.items():
         if v is None and key in _OPTIONAL:
             continue
         if _OPTIONAL.get(key, type(_DEFAULTS[key])) is str:
             ok, name = isinstance(v, str), "a string"
         else:
-            ok, name = isinstance(v, (int, float)) and not isinstance(v, bool), "a number"
+            ok = isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            name = "a finite number"
         if not ok:
             raise ValueError(f"validation error on `{key[1]}`: expected {name}, got {_literal(v)}")
 
@@ -242,6 +245,7 @@ class _SnapshotWriter:
         self.next_t = max(self.next_t + self.every, state.t + self.every * 0.5)
         x = cfg.grid.nodes(state.x_left)
         name = f"snapshot_{state.t:.6g}.csv"
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         if cfg.model in (Model.LOCAL_U, Model.FKPP):
             _write_csv(self.out_dir / name, ["x", "u"], [x, state.field])
         else:
@@ -251,8 +255,8 @@ class _SnapshotWriter:
 
 
 def _open_run(cfg: RunConfig, out_dir: Path) -> tuple[TraceRecorder, list]:
-    """Create the output directory; return the recorder and the observers."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """The recorder and the observers of a run; the output directory is
+    made by the first file written to it."""
     rec = TraceRecorder()
     observers = [rec]
     if cfg.snapshot_every is not None:
@@ -263,6 +267,7 @@ def _open_run(cfg: RunConfig, out_dir: Path) -> tuple[TraceRecorder, list]:
 def _close_run(cfg: RunConfig, out_dir: Path, rec: TraceRecorder, final) -> int:
     """Write trace.csv and summary.json of a run that ended in the final
     state or in a RuntimeError; return the exit status."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     _flush_trace(out_dir, rec)
     if isinstance(final, RuntimeError):
         _write_summary(out_dir, {"status": 2, "error": str(final)})
@@ -400,7 +405,6 @@ def cmd_sweep(chi_list: list[float], cfg: RunConfig, out_dir: Path, jobs: int = 
     jobs = max(1, jobs)
     # Every member's config is built, and so validated, before any member runs.
     members = [dataclasses.replace(cfg, sim=_member_sim(cfg.sim, float(chi))) for chi in chi_list]
-    out_dir.mkdir(parents=True, exist_ok=True)
     names: list[str] = []
     seen: dict[str, int] = {}
     for chi in chi_list:
@@ -431,6 +435,7 @@ def cmd_sweep(chi_list: list[float], cfg: RunConfig, out_dir: Path, jobs: int = 
         by_member.update(zip(part, part_rows))
     rows = [by_member[i] for i in range(len(members))]
     header = ["chi", "c_star", "r_fit", "r_theory", "moment_drift", "pass"]
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "sweep_summary.csv", header, [[row[k] for row in rows] for k in header])
     return 0 if all(r["status"] == 0 for r in rows) else 2
 
@@ -444,10 +449,10 @@ def cmd_wave(chi: float, model: str, x_min: float, x_max: float, dx: float, out_
     p = traveling_wave("p", chi, x)
     key = model.lower()
     if key == "u":
-        wave, eta_vals = u, eta_local(chi, np.clip(u, 0.0, 1.0))
+        eta_vals = eta_local(chi, np.clip(u, 0.0, 1.0))
     elif key in ("p", "rho"):
         # the density model's defect lives on its cumulative mass
-        wave, eta_vals = p, eta_nonlocal(chi, p)
+        eta_vals = eta_nonlocal(chi, p)
     else:
         raise ValueError(f"validation error on `model`: {model!r}")
     h = 1e-5

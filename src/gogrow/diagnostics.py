@@ -48,23 +48,6 @@ class FrontTrace:
             raise ValueError("front trace times must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class MomentTrace:
-    t: np.ndarray
-    value: np.ndarray
-    kind: MomentKind
-
-
-@dataclass(frozen=True)
-class ShapeDefectField:
-    """Node-wise defect omega = -v_x - eta(v), optionally weighted."""
-
-    x: np.ndarray
-    values: np.ndarray
-    weighted: bool = False
-    gamma: float | None = None
-
-
 @dataclass
 class _Derived:
     """Derived fields of one state, each computed at most once.
@@ -212,7 +195,7 @@ def shape_defect(
     cfg: SimConfig,
     weighted: bool = False,
     gamma: float | None = None,
-) -> ShapeDefectField:
+) -> np.ndarray:
     """omega_i = -v_x(x_i) - eta(v_i), centered differences inside.
 
     weighted multiplies by exp(z / chi_vee) in the moving frame; gamma adds
@@ -225,13 +208,7 @@ def shape_defect(
     if gamma is not None:
         z = moving_frame_z(state, cfg)
         omega = omega * np.exp(-gamma * np.sqrt(1.0 + z * z))
-    x = cfg.grid.nodes(state.x_left)
-    return ShapeDefectField(x=x, values=omega, weighted=weighted, gamma=gamma)
-
-
-def _switch_exclusion(state: SimState, cfg: SimConfig) -> np.ndarray:
-    """Mask of nodes kept for defect statistics (see _Derived.keep)."""
-    return _Derived(state, cfg).keep
+    return omega
 
 
 def min_shape_defect(state: SimState, cfg: SimConfig) -> float:
@@ -344,10 +321,6 @@ class TraceRecorder:
 
     def front_trace(self) -> FrontTrace:
         return FrontTrace(t=np.asarray(self.t), x_front=np.asarray(self.x_front))
-
-    def moment_trace(self, cfg: SimConfig) -> MomentTrace:
-        kind = default_moment_kind(cfg) or MomentKind.IU
-        return MomentTrace(t=np.asarray(self.t), value=np.asarray(self.moment), kind=kind)
 
     @property
     def moment_initial(self) -> float:

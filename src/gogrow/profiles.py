@@ -1,11 +1,12 @@
 """Closed-form layer of the go-or-grow front models.
 
-Minimal wave speed c*(chi), the three advection fluxes A, the wave-profile
-functions eta (slope of the minimal traveling wave as a function of its
-value), their Lipschitz-regularized family, the companion quantities
-Q = eta + chi*A and R with eta*R = s - A, and the explicit minimal-speed
-traveling waves for the local density u, the nonlocal density rho, and the
-cumulative mass P.
+Minimal wave speed c*(chi), the advection fluxes A (named by the
+traveling_wave model key, "u" or "p", and a width epsilon), the
+wave-profile functions eta (slope of the minimal traveling wave as a
+function of its value), their Lipschitz-regularized family, the
+companion quantities Q = eta + chi*A and R with eta*R = s - A, and the
+explicit minimal-speed traveling waves for the local density u, the
+nonlocal density rho, and the cumulative mass P.
 
 Everything here is a pure function of its arguments; array inputs are
 broadcast elementwise.
@@ -59,46 +60,6 @@ def minimal_speed(chi: float) -> ChiParams:
     return ChiParams(chi=chi, chi_vee=max(1.0, chi), c_star=c_star, regime=regime)
 
 
-class FluxKind(enum.Enum):
-    LOCAL_HEAVISIDE = "local_heaviside"
-    NONLOCAL_RAMP = "nonlocal_ramp"
-    REGULARIZED_LOCAL = "regularized_local"
-
-
-@dataclass(frozen=True)
-class FluxSpec:
-    """Which advection flux A governs a run.
-
-    local_heaviside: A(s) = s for s >= 1, else 0 (domain [0, 1])
-    nonlocal_ramp:   A(s) = (s - 1)_+ (domain s >= 0)
-    regularized:     piecewise linear, 0 on [0, 1-eps], slope 1/eps above
-    """
-
-    kind: FluxKind
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if self.kind is FluxKind.REGULARIZED_LOCAL:
-            if self.epsilon is None or not (0.0 < self.epsilon < 0.5):
-                raise ValueError(
-                    f"regularized flux needs epsilon in (0, 1/2), got {self.epsilon!r}"
-                )
-        elif self.epsilon is not None:
-            raise ValueError("epsilon is only meaningful for the regularized flux")
-
-    @staticmethod
-    def local_heaviside() -> "FluxSpec":
-        return FluxSpec(FluxKind.LOCAL_HEAVISIDE)
-
-    @staticmethod
-    def nonlocal_ramp() -> "FluxSpec":
-        return FluxSpec(FluxKind.NONLOCAL_RAMP)
-
-    @staticmethod
-    def regularized(epsilon: float) -> "FluxSpec":
-        return FluxSpec(FluxKind.REGULARIZED_LOCAL, float(epsilon))
-
-
 def _return_like(s, out):
     return float(out[0]) if np.ndim(s) == 0 else out
 
@@ -113,23 +74,35 @@ def _ramp_flux(v: np.ndarray, epsilon: float | None) -> np.ndarray:
     return out
 
 
-def flux(spec: FluxSpec, s):
+def flux(model: str, s, epsilon: float | None = None):
     """Advection flux A(s); nondecreasing with A(0) = 0.
 
-    Raises ValueError for s < 0, and for s > 1 with the local kinds.
+    model "u" is the local flux on [0, 1]: the Heaviside A(s) = s for
+    s >= 1, else 0, or with epsilon in (0, 1/2) its regularization, 0 on
+    [0, 1-eps] with slope 1/eps above.  model "p" is the nonlocal ramp
+    (s - 1)_+ on s >= 0 and takes no epsilon.
+
+    Raises ValueError for any other model or epsilon, for s < 0, and for
+    s > 1 with "u".
     """
+    if model == "p":
+        if epsilon is not None:
+            raise ValueError("epsilon is only meaningful for the local flux")
+    elif model != "u":
+        raise ValueError(f"flux model must be 'u' or 'p', got {model!r}")
+    elif epsilon is not None and not (0.0 < epsilon < 0.5):
+        raise ValueError(f"regularized flux needs epsilon in (0, 1/2), got {epsilon!r}")
     arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError("flux argument must be finite and >= 0")
-    if spec.kind is FluxKind.NONLOCAL_RAMP:
+    if model == "p":
         out = _ramp_flux(arr, None)
+    elif np.any(arr > 1.0):
+        raise ValueError("local flux argument must lie in [0, 1]")
+    elif epsilon is None:
+        out = np.where(arr >= 1.0, arr, 0.0)
     else:
-        if np.any(arr > 1.0):
-            raise ValueError("local flux argument must lie in [0, 1]")
-        if spec.kind is FluxKind.LOCAL_HEAVISIDE:
-            out = np.where(arr >= 1.0, arr, 0.0)
-        else:
-            out = _ramp_flux(arr, spec.epsilon)
+        out = _ramp_flux(arr, epsilon)
     return _return_like(s, out)
 
 
@@ -199,8 +172,7 @@ class RegularizationConstants:
 
     psi_star is the profile value at the matching point 1 - eps, m_eps the
     slope of its linear cap, k_eps the log-shift matching the scaled sharp
-    profile to the cap; kappa and lam are the Lambert prefactors of the
-    sharp local and nonlocal profiles.
+    profile to the cap.
     """
 
     chi: float
@@ -208,8 +180,6 @@ class RegularizationConstants:
     psi_star: float
     m_eps: float
     k_eps: float
-    kappa: float
-    lam: float
 
 
 @lru_cache(maxsize=256)
@@ -231,9 +201,8 @@ def regularization_constants(chi: float, epsilon: float) -> RegularizationConsta
         raise ValueError("epsilon must lie in (0, 1/2)")
     d = chi - 2.0 * epsilon
     psi = 0.5 * (d + math.sqrt(d * d + 4.0 * epsilon * (1.0 - epsilon)))
-    kap = _kappa(chi)
     w = (1.0 - epsilon) / (psi - 1.0 + epsilon)
-    p_star = -w * math.exp(w) / kap
+    p_star = -w * math.exp(w) / _kappa(chi)
     if not (0.0 < p_star < 1.0):
         raise RuntimeError("k_eps matching point outside (0, 1); regularization constants bug")
     k_eps = math.log(p_star / (1.0 - epsilon))
@@ -243,8 +212,6 @@ def regularization_constants(chi: float, epsilon: float) -> RegularizationConsta
         psi_star=psi,
         m_eps=psi / epsilon,
         k_eps=k_eps,
-        kappa=kap,
-        lam=_lam(chi),
     )
 
 
@@ -277,41 +244,39 @@ def eta_regularized(chi: float, epsilon: float, s):
     return _return_like(s, out)
 
 
-def _eta_for(spec: FluxSpec, chi: float, s: float) -> float:
-    if spec.kind is FluxKind.LOCAL_HEAVISIDE:
-        return float(eta_local(chi, s))
-    if spec.kind is FluxKind.NONLOCAL_RAMP:
-        return float(eta_nonlocal(chi, s))
-    return float(eta_regularized(chi, spec.epsilon, s))
-
-
-def q_and_r(spec: FluxSpec, chi: float, s: float) -> tuple[float, float]:
-    """Companion quantities Q = eta + chi*A and R with eta(s) R(s) = s - A(s).
+def q_and_r(model: str, chi: float, s: float, epsilon: float | None = None) -> tuple[float, float]:
+    """Companion quantities Q = eta + chi*A and R with eta(s) R(s) = s - A(s),
+    for the flux that (model, epsilon) names (see flux).
 
     R equals c - Q' and is evaluated from the profile identity where
     eta > 0.  At the endpoint zeros of eta it takes its one-sided limit:
-    R(0) = c - max(1, chi), and at s = 1 (local kinds) the limit from below,
+    R(0) = c - max(1, chi), and at s = 1 (model "u") the limit from below,
     1/chi for the sharp flux (infinite at chi = 0) and (1-eps)/psi_star for
     the regularized one below chi = 1.
     """
     cp = minimal_speed(chi)
     sf = float(s)
-    a = float(flux(spec, sf))
-    eta = _eta_for(spec, chi, sf)
+    a = float(flux(model, sf, epsilon))
+    if model == "p":
+        eta = float(eta_nonlocal(chi, sf))
+    elif epsilon is None:
+        eta = float(eta_local(chi, sf))
+    else:
+        eta = float(eta_regularized(chi, epsilon, sf))
     q = eta + cp.chi * a
     if eta > 0.0:
         r = (sf - a) / eta
     elif sf == 0.0:
         r = cp.c_star - max(1.0, cp.chi)
     else:
-        # s = 1 with a local kind (the nonlocal profile never vanishes there)
+        # s = 1 with model "u" (the nonlocal profile never vanishes there)
         if cp.chi >= 1.0:
             r = 1.0 / cp.chi
-        elif spec.kind is FluxKind.LOCAL_HEAVISIDE:
+        elif epsilon is None:
             r = 1.0 / cp.chi if cp.chi > 0.0 else math.inf
         else:
-            rc = regularization_constants(chi, spec.epsilon)
-            r = (1.0 - spec.epsilon) / rc.psi_star
+            rc = regularization_constants(chi, epsilon)
+            r = (1.0 - epsilon) / rc.psi_star
     return q, r
 
 

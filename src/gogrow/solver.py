@@ -60,6 +60,8 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
+        if not math.isfinite(self.x_left):
+            raise ValueError(f"x_left must be finite, got {self.x_left!r}")
         if not (self.dx > 0.0 and math.isfinite(self.dx)):
             raise ValueError(f"dx must be positive, got {self.dx!r}")
         if self.n < 8:
@@ -176,8 +178,9 @@ class WindowPolicy:
     right_pad: float = 25.0
 
     def __post_init__(self):
-        if self.left_pad <= 0 or self.right_pad <= 0:
-            raise ValueError("window pads must be positive")
+        for pad in (self.left_pad, self.right_pad):
+            if not (pad > 0.0 and math.isfinite(pad)):
+                raise ValueError(f"window pads must be positive and finite, got {pad!r}")
 
 
 @dataclass(frozen=True)
@@ -774,8 +777,8 @@ def run_batch(
     Any other error of an observer, such as the ValueError of a write
     into the read-only field, leaves run_batch.
     """
-    if trace_every <= 0.0:
-        raise ValueError("trace_every must be positive")
+    if not (trace_every > 0.0 and math.isfinite(trace_every)):
+        raise ValueError(f"trace_every must be positive and finite, got {trace_every!r}")
     if not cfgs or len(observers) != len(cfgs):
         raise ValueError("run_batch needs one observer list per config")
     if len({batch_key(cfg) for cfg in cfgs}) != 1:

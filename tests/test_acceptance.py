@@ -23,7 +23,6 @@ from gogrow.asymptotics import (
 from gogrow.diagnostics import TraceRecorder
 from gogrow.lambertw import lambert_w_minus1
 from gogrow.profiles import (
-    FluxSpec,
     eta_local,
     eta_nonlocal,
     eta_regularized,
@@ -31,7 +30,15 @@ from gogrow.profiles import (
     minimal_speed,
     q_and_r,
 )
-from gogrow.solver import InitPreset, make_config, make_state, run, stable_dt, step
+from gogrow.solver import (
+    InitPreset,
+    make_config,
+    make_state,
+    run,
+    run_batch,
+    stable_dt,
+    step,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -45,24 +52,31 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 # shared long runs
 
 
-def _front_run(model, chi, t_end, dx, right_pad, amplitude=1.0, x_left=-30.0,
-               collect=False):
-    cfg = make_config(
-        model=model, chi=chi, dx=dx, t_end=t_end, x_left=x_left,
-        width=right_pad + 42.0, init="heaviside", amplitude=amplitude,
-        left_pad=18.0, right_pad=right_pad,
-    )
-    rec = TraceRecorder(collect_defect=collect, collect_rh=collect)
-    run(cfg, observers=[rec], trace_every=0.5)
-    return cfg, rec
+def _run_batch(cfgs, observers, trace_every, recenter=True):
+    """run_batch over configs that share batch_key; a member's RuntimeError
+    is raised here, as run raises it."""
+    finals = run_batch(cfgs, observers, trace_every, recenter)
+    for final in finals:
+        if isinstance(final, RuntimeError):
+            raise final
+    return finals
+
+
+def _front_runs(model, chis, t_end, dx, right_pad):
+    """{chi: (cfg, rec)} of Heaviside front runs, stepped as one batch."""
+    cfgs = [make_config(model=model, chi=chi, dx=dx, t_end=t_end, x_left=-30.0,
+                        width=right_pad + 42.0, init="heaviside",
+                        left_pad=18.0, right_pad=right_pad) for chi in chis]
+    recs = [TraceRecorder(collect_defect=False, collect_rh=False) for _ in chis]
+    _run_batch(cfgs, [[rec] for rec in recs], 0.5)
+    return dict(zip(chis, zip(cfgs, recs)))
 
 
 @pytest.fixture(scope="session")
 def local_t400():
-    out = {}
-    for chi in (0.0, 0.5, 1.0, 2.0):
-        pad = 60.0 if chi <= 1.0 else 40.0
-        out[chi] = _front_run("local_u", chi, 400.0, 0.05, pad)
+    # chi = 2 has a narrower pad, so it cannot share the pulled batch
+    out = _front_runs("local_u", (0.0, 0.5, 1.0), 400.0, 0.05, 60.0)
+    out.update(_front_runs("local_u", (2.0,), 400.0, 0.05, 40.0))
     return out
 
 
@@ -75,7 +89,7 @@ def fkpp_t400():
 
 @pytest.fixture(scope="session")
 def nonlocal_chi0_t400():
-    return _front_run("nonlocal_p", 0.0, 400.0, 0.05, 60.0)
+    return _front_runs("nonlocal_p", (0.0,), 400.0, 0.05, 60.0)[0.0]
 
 
 @pytest.fixture(scope="session")
@@ -96,16 +110,16 @@ def moment_runs():
 @pytest.fixture(scope="session")
 def defect_runs():
     out = {}
+    chis = (0.5, 1.0, 2.0)
     for model in ("local_u", "nonlocal_p"):
-        for chi in (0.5, 1.0, 2.0):
-            amp = max(1.0, chi) if model == "nonlocal_p" else 1.0
-            for dx in (0.04, 0.02):
-                cfg = make_config(model=model, chi=chi, dx=dx, t_end=50.0,
-                                  x_left=-30.0, width=65.0, init="heaviside",
-                                  amplitude=amp, left_pad=15.0, right_pad=20.0)
-                rec = TraceRecorder(collect_rh=False)
-                run(cfg, observers=[rec], trace_every=0.5)
-                out[(model, chi, dx)] = (cfg, rec)
+        for dx in (0.04, 0.02):
+            cfgs = [make_config(model=model, chi=chi, dx=dx, t_end=50.0,
+                                x_left=-30.0, width=65.0, init="heaviside",
+                                amplitude=max(1.0, chi) if model == "nonlocal_p" else 1.0,
+                                left_pad=15.0, right_pad=20.0) for chi in chis]
+            recs = [TraceRecorder(collect_rh=False) for _ in chis]
+            _run_batch(cfgs, [[rec] for rec in recs], 0.5)
+            out.update({(model, chi, dx): pair for chi, pair in zip(chis, zip(cfgs, recs))})
     return out
 
 
@@ -148,19 +162,23 @@ def test_criterion_02_delay_trichotomy(local_t400):
 
 
 def test_criterion_03_wave_stationarity():
+    devs = {}
+    # chi = 2 moves its frame at c* = 2.5, so it cannot share the c* = 2 batch
+    for chis in ((0.0, 0.5, 1.0), (2.0,)):
+        for dx in (0.02, 0.01):
+            cfgs = [make_config(model="nonlocal_p", chi=chi, dx=dx, t_end=5.0,
+                                x_left=-15.0, width=32.0, frame="moving",
+                                init="traveling_wave", left_pad=8.0, right_pad=8.0)
+                    for chi in chis]
+            v0 = [make_state(cfg).field.copy() for cfg in cfgs]
+            finals = _run_batch(cfgs, [()] * len(cfgs), 5.0, recenter=False)
+            for chi, final, v in zip(chis, finals, v0):
+                devs[chi, dx] = float(np.max(np.abs(final.field - v)))
     details = []
     ok = True
     for chi in (0.0, 0.5, 1.0, 2.0):
-        devs = {}
-        for dx in (0.02, 0.01):
-            cfg = make_config(model="nonlocal_p", chi=chi, dx=dx, t_end=5.0,
-                              x_left=-15.0, width=32.0, frame="moving",
-                              init="traveling_wave", left_pad=8.0, right_pad=8.0)
-            v0 = make_state(cfg).field.copy()
-            final = run(cfg, trace_every=5.0, recenter=False)
-            devs[dx] = float(np.max(np.abs(final.field - v0)))
-        details.append(f"chi={chi}: {devs[0.02]:.2e}/{devs[0.01]:.2e}")
-        ok = ok and devs[0.02] <= 5 * 0.02 and devs[0.01] <= 0.5 * devs[0.02]
+        details.append(f"chi={chi}: {devs[chi, 0.02]:.2e}/{devs[chi, 0.01]:.2e}")
+        ok = ok and devs[chi, 0.02] <= 5 * 0.02 and devs[chi, 0.01] <= 0.5 * devs[chi, 0.02]
     _report(3, "wave-stationarity", ok, "; ".join(details))
     assert ok
 
@@ -319,7 +337,7 @@ def test_criterion_10_analytic_oracle_suite():
     for chi in (0.0, 0.5, 1.0, 2.0):
         cp = minimal_speed(chi)
         s = np.linspace(0.0, 1.0, 501)
-        au = np.asarray(flux(FluxSpec.local_heaviside(), s))
+        au = np.asarray(flux("u", s))
         el = eta_local(chi, s)
         sandwich_ok &= bool(np.all(el >= chi * (s - au) - 1e-10))
         sandwich_ok &= bool(np.all(el <= max(1.0, chi) * (s - au) + 1e-10))
@@ -346,14 +364,14 @@ def test_criterion_10_analytic_oracle_suite():
 
     # Q concavity
     conc_ok = True
-    for spec, chi in [
-        (FluxSpec.local_heaviside(), 0.5),
-        (FluxSpec.nonlocal_ramp(), 0.5),
-        (FluxSpec.nonlocal_ramp(), 2.0),
-        (FluxSpec.regularized(0.1), 0.5),
+    for model, epsilon, chi in [
+        ("u", None, 0.5),
+        ("p", None, 0.5),
+        ("p", None, 2.0),
+        ("u", 0.1, 0.5),
     ]:
-        grid = np.linspace(1e-3, 0.999 if spec.kind.value != "nonlocal_ramp" else 3.0, 400)
-        q = np.array([q_and_r(spec, chi, float(v))[0] for v in grid])
+        grid = np.linspace(1e-3, 0.999 if model == "u" else 3.0, 400)
+        q = np.array([q_and_r(model, chi, float(v), epsilon)[0] for v in grid])
         conc_ok &= bool(np.max(q[2:] - 2 * q[1:-1] + q[:-2]) <= 1e-9)
     ok = ok and conc_ok
 

@@ -41,14 +41,17 @@ def test_cmd_run_runtime_abort_writes_summary(tmp_path, monkeypatch):
 
 
 NUMBER_KEYS = sorted(key for key, default in cli._DEFAULTS.items() if isinstance(default, float))
-BAD_NUMBERS = [(key, value) for key in NUMBER_KEYS for value in ("none", "true")]
-BAD_NUMBERS.append((("output", "snapshot_every"), "true"))  # none is its default
+NON_FINITE = ("nan", "inf", "-inf")
+BAD_NUMBERS = [(key, value) for key in NUMBER_KEYS for value in ("none", "true", *NON_FINITE)]
+# none is the default of snapshot_every
+BAD_NUMBERS += [(("output", "snapshot_every"), value) for value in ("true", *NON_FINITE)]
 
 
 @pytest.mark.parametrize("cmd", ["run", "sweep"])
 @pytest.mark.parametrize("key,value", BAD_NUMBERS, ids=[f"{k}={v}" for (_, k), v in BAD_NUMBERS])
 def test_number_key_rejects_none_and_booleans(tmp_path, capsys, cmd, key, value):
-    # none used to end in a float(None) traceback, and true ran as 1.0
+    # none used to end in a float(None) traceback, true ran as 1.0, and
+    # nan or inf ran, or ended in an OverflowError traceback
     section, name = key
     cfg_path = tmp_path / "cfg.toml"
     cfg_path.write_text(CONFIG + f"[{section}]\n{name} = {value}\n")
@@ -56,4 +59,19 @@ def test_number_key_rejects_none_and_booleans(tmp_path, capsys, cmd, key, value)
     chi = ["--chi", "0.5,2"] if cmd == "sweep" else []
     assert main([cmd, *chi, "--config", str(cfg_path), "--out", str(out)]) == 1
     assert f"validation error on `{name}`" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["run", "sweep"])
+@pytest.mark.parametrize("bad", [
+    '[run]\namplitude = 2.0\n',  # above 1 for the local density
+    '[model]\nkind = "fkpp"\n[run]\ninit = "traveling_wave"\n',  # no FKPP wave
+], ids=["local_u-amplitude-2", "fkpp-traveling_wave"])
+def test_rejected_initial_field_leaves_no_directory(tmp_path, capsys, cmd, bad):
+    cfg_path = tmp_path / "cfg.toml"
+    cfg_path.write_text(CONFIG + bad)
+    out = tmp_path / "out"
+    chi = ["--chi", "0.5,2"] if cmd == "sweep" else []
+    assert main([cmd, *chi, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

@@ -7,13 +7,14 @@ from gogrow.diagnostics import (
     MomentKind,
     TailNotResolvedWarning,
     TraceRecorder,
+    default_moment_kind,
     exponential_moment,
     front_location,
     min_shape_defect,
     rankine_hugoniot_residual,
     shape_defect,
     weighted_defect_sup,
-    _switch_exclusion,
+    _Derived,
 )
 from gogrow.profiles import traveling_wave
 from gogrow.solver import InitPreset, make_config, make_state, run
@@ -64,7 +65,7 @@ def test_front_location_heaviside():
 def test_shape_defect_zero_on_plateau():
     cfg = make_config(model="local_u", chi=2.0, dx=0.05, t_end=1.0)
     st = make_state(cfg)
-    omega = shape_defect(st, cfg).values
+    omega = shape_defect(st, cfg)
     x = cfg.grid.nodes()
     plateau = x < -1.0
     assert np.max(np.abs(omega[plateau])) == 0.0
@@ -74,8 +75,8 @@ def test_shape_defect_wave_small_off_kink():
     cfg = make_config(model="nonlocal_p", chi=2.0, dx=0.01, t_end=1.0, x_left=-10.0,
                       width=25.0, frame="moving", init="traveling_wave")
     st = make_state(cfg)
-    omega = shape_defect(st, cfg).values
-    keep = _switch_exclusion(st, cfg)
+    omega = shape_defect(st, cfg)
+    keep = _Derived(st, cfg).keep
     assert np.max(np.abs(omega[keep])) <= 0.05
 
 
@@ -84,8 +85,8 @@ def test_shape_defect_heaviside_initial_nonnegative():
         amp = 1.0 if model == "local_u" else 2.0
         cfg = make_config(model=model, chi=2.0, dx=0.02, t_end=1.0, amplitude=amp)
         st = make_state(cfg)
-        omega = shape_defect(st, cfg).values
-        keep = _switch_exclusion(st, cfg)
+        omega = shape_defect(st, cfg)
+        keep = _Derived(st, cfg).keep
         assert float(omega[keep].min()) >= -1e-9
 
 
@@ -112,11 +113,11 @@ def test_shape_defect_weight_and_gamma():
     cfg = make_config(model="nonlocal_p", chi=1.0, dx=0.05, t_end=1.0, frame="moving",
                       init="traveling_wave")
     st = make_state(cfg)
-    plain = shape_defect(st, cfg).values
+    plain = shape_defect(st, cfg)
     z = cfg.grid.nodes()
-    weighted = shape_defect(st, cfg, weighted=True).values
+    weighted = shape_defect(st, cfg, weighted=True)
     assert np.allclose(weighted, plain * np.exp(z), rtol=1e-12)
-    localized = shape_defect(st, cfg, weighted=True, gamma=0.3).values
+    localized = shape_defect(st, cfg, weighted=True, gamma=0.3)
     assert np.allclose(localized, weighted * np.exp(-0.3 * np.sqrt(1 + z * z)), rtol=1e-12)
 
 
@@ -244,6 +245,5 @@ def test_trace_recorder_rows_and_traces():
     assert rec.t == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
     ft = rec.front_trace()
     assert np.all(np.isfinite(ft.x_front))
-    mt = rec.moment_trace(cfg)
-    assert mt.kind is MomentKind.IU
+    assert default_moment_kind(cfg) is MomentKind.IU
     assert rec.moment_initial == pytest.approx(rec.moment[0])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gogrow.profiles import (
-    FluxKind,
-    FluxSpec,
+    _kappa,
+    _lam,
     Regime,
     eta_local,
     eta_nonlocal,
@@ -54,33 +54,37 @@ def test_minimal_speed_domain(chi):
 
 
 def test_flux_examples():
-    assert flux(FluxSpec.local_heaviside(), 0.5) == 0.0
-    assert flux(FluxSpec.nonlocal_ramp(), 2.0) == pytest.approx(1.0)
-    assert flux(FluxSpec.regularized(0.1), 0.95) == pytest.approx(0.5)
+    assert flux("u", 0.5) == 0.0
+    assert flux("p", 2.0) == pytest.approx(1.0)
+    assert flux("u", 0.95, epsilon=0.1) == pytest.approx(0.5)
 
 
 def test_flux_nondecreasing_and_zero_at_zero():
     s_local = np.linspace(0.0, 1.0, 501)
     s_ramp = np.linspace(0.0, 5.0, 501)
-    for spec, s in [
-        (FluxSpec.local_heaviside(), s_local),
-        (FluxSpec.regularized(0.2), s_local),
-        (FluxSpec.nonlocal_ramp(), s_ramp),
+    for model, epsilon, s in [
+        ("u", None, s_local),
+        ("u", 0.2, s_local),
+        ("p", None, s_ramp),
     ]:
-        a = flux(spec, s)
+        a = flux(model, s, epsilon)
         assert a[0] == 0.0
         assert np.all(np.diff(a) >= -1e-14)
 
 
 def test_flux_domain_errors():
     with pytest.raises(ValueError):
-        flux(FluxSpec.nonlocal_ramp(), -0.1)
+        flux("p", -0.1)
     with pytest.raises(ValueError):
-        flux(FluxSpec.local_heaviside(), 1.5)
+        flux("u", 1.5)
     with pytest.raises(ValueError):
-        flux(FluxSpec.regularized(0.1), 1.0001)
+        flux("u", 1.0001, epsilon=0.1)
     with pytest.raises(ValueError):
-        FluxSpec.regularized(0.7)
+        flux("u", 0.5, epsilon=0.7)
+    with pytest.raises(ValueError):
+        flux("rho", 0.5)
+    with pytest.raises(ValueError):
+        flux("p", 0.5, epsilon=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +120,7 @@ def test_eta_local_examples():
 @pytest.mark.parametrize("chi", CHI_GRID)
 def test_eta_local_sandwich(chi):
     s = np.linspace(0.0, 1.0, 801)
-    a = flux(FluxSpec.local_heaviside(), s)
+    a = flux("u", s)
     eta = eta_local(chi, s)
     lower = chi * (s - a)
     upper = max(1.0, chi) * (s - a)
@@ -128,7 +132,7 @@ def test_eta_local_sandwich(chi):
 def test_eta_nonlocal_sandwich(chi):
     cp = minimal_speed(chi)
     s = np.linspace(0.0, 10.0, 1001)
-    a = flux(FluxSpec.nonlocal_ramp(), s)
+    a = flux("p", s)
     eta = eta_nonlocal(chi, s)
     lower = (s - a) / (cp.c_star - chi)
     upper = max(1.0, chi) * (s - a)
@@ -161,7 +165,7 @@ def test_eta_ode_residual_nonlocal(chi):
     c = minimal_speed(chi).c_star
     h = 1e-6
     s = np.concatenate([np.linspace(1e-3, 0.99, 199), np.linspace(1.01, 10.0, 151)])
-    a = flux(FluxSpec.nonlocal_ramp(), s)
+    a = flux("p", s)
     da = (s > 1.0).astype(float)
     eta = eta_nonlocal(chi, s)
     d_eta = (eta_nonlocal(chi, s + h) - eta_nonlocal(chi, s - h)) / (2.0 * h)
@@ -193,9 +197,9 @@ def test_regularization_constants_invariants():
             lhs = math.exp(-rc.k_eps) * eta_local(chi, math.exp(rc.k_eps) * (1 - eps))
             assert abs(lhs - rc.psi_star) <= 1e-12
             q = 1.0 / (1.0 - chi)
-            assert rc.kappa == pytest.approx(q * math.exp(-q))
+            assert _kappa(chi) == pytest.approx(q * math.exp(-q))
             p = (2.0 - chi) / (1.0 - chi)
-            assert rc.lam == pytest.approx(p * math.exp(-p))
+            assert _lam(chi) == pytest.approx(p * math.exp(-p))
     with pytest.raises(ValueError):
         regularization_constants(1.0, 0.1)
 
@@ -241,21 +245,19 @@ def test_eta_regularized_converges(chi):
 
 
 def test_r_constant_for_pushed_ramp():
-    spec = FluxSpec.nonlocal_ramp()
     for s in (0.1, 0.5, 0.9, 1.0, 1.5, 3.0):
-        _, r = q_and_r(spec, 2.0, s)
+        _, r = q_and_r("p", 2.0, s)
         assert r == pytest.approx(0.5, abs=1e-12)
 
 
 def test_q_local_linear_at_chi1():
-    q, _ = q_and_r(FluxSpec.local_heaviside(), 1.0, 0.5)
+    q, _ = q_and_r("u", 1.0, 0.5)
     assert q == pytest.approx(0.5, abs=1e-12)
 
 
 def test_r_nondecreasing_pulled_ramp():
-    spec = FluxSpec.nonlocal_ramp()
     s = np.linspace(0.01, 3.0, 300)
-    r = np.array([q_and_r(spec, 0.5, float(v))[1] for v in s])
+    r = np.array([q_and_r("p", 0.5, float(v))[1] for v in s])
     assert np.all(np.diff(r) >= -1e-10)
 
 
@@ -263,14 +265,14 @@ def test_r_endpoint_limits():
     # R(0) = c - max(1, chi)
     for chi in (0.0, 0.5, 2.0):
         c = minimal_speed(chi).c_star
-        for spec in (FluxSpec.local_heaviside(), FluxSpec.nonlocal_ramp()):
-            _, r = q_and_r(spec, chi, 0.0)
+        for model in ("u", "p"):
+            _, r = q_and_r(model, chi, 0.0)
             assert r == pytest.approx(c - max(1.0, chi), abs=1e-12)
     # local s = 1 limits
-    assert q_and_r(FluxSpec.local_heaviside(), 2.0, 1.0)[1] == pytest.approx(0.5)
-    assert q_and_r(FluxSpec.local_heaviside(), 0.0, 1.0)[1] == math.inf
+    assert q_and_r("u", 2.0, 1.0)[1] == pytest.approx(0.5)
+    assert q_and_r("u", 0.0, 1.0)[1] == math.inf
     rc = regularization_constants(0.5, 0.1)
-    assert q_and_r(FluxSpec.regularized(0.1), 0.5, 1.0)[1] == pytest.approx(
+    assert q_and_r("u", 0.5, 1.0, epsilon=0.1)[1] == pytest.approx(
         0.9 / rc.psi_star
     )
 
@@ -278,35 +280,36 @@ def test_r_endpoint_limits():
 def test_r_matches_c_minus_q_prime():
     # independent route: R = c - Q' with Q' by centered differences
     h = 1e-6
-    for spec, chi, s_grid in [
-        (FluxSpec.nonlocal_ramp(), 0.5, np.linspace(0.05, 2.5, 40)),
-        (FluxSpec.local_heaviside(), 0.3, np.linspace(0.05, 0.95, 40)),
-        (FluxSpec.regularized(0.1), 0.5, np.linspace(0.05, 0.85, 40)),
+    for model, epsilon, chi, s_grid in [
+        ("p", None, 0.5, np.linspace(0.05, 2.5, 40)),
+        ("u", None, 0.3, np.linspace(0.05, 0.95, 40)),
+        ("u", 0.1, 0.5, np.linspace(0.05, 0.85, 40)),
     ]:
         c = minimal_speed(chi).c_star
         for s in s_grid:
             s = float(s)
             if abs(s - 1.0) < 2 * h:
                 continue
-            q_m = q_and_r(spec, chi, s - h)[0]
-            q_p = q_and_r(spec, chi, s + h)[0]
-            r = q_and_r(spec, chi, s)[1]
+            q_m = q_and_r(model, chi, s - h, epsilon)[0]
+            q_p = q_and_r(model, chi, s + h, epsilon)[0]
+            r = q_and_r(model, chi, s, epsilon)[1]
             assert r == pytest.approx(c - (q_p - q_m) / (2 * h), abs=1e-5)
 
 
 @pytest.mark.parametrize(
     "spec,chi,grid",
     [
-        (FluxSpec.local_heaviside(), 0.0, np.linspace(1e-3, 1 - 1e-3, 400)),
-        (FluxSpec.local_heaviside(), 0.5, np.linspace(1e-3, 1 - 1e-3, 400)),
-        (FluxSpec.local_heaviside(), 2.0, np.linspace(1e-3, 1 - 1e-3, 400)),
-        (FluxSpec.nonlocal_ramp(), 0.5, np.linspace(1e-3, 3.0, 600)),
-        (FluxSpec.nonlocal_ramp(), 2.0, np.linspace(1e-3, 3.0, 600)),
-        (FluxSpec.regularized(0.1), 0.5, np.linspace(1e-3, 1 - 1e-3, 400)),
+        (("u", None), 0.0, np.linspace(1e-3, 1 - 1e-3, 400)),
+        (("u", None), 0.5, np.linspace(1e-3, 1 - 1e-3, 400)),
+        (("u", None), 2.0, np.linspace(1e-3, 1 - 1e-3, 400)),
+        (("p", None), 0.5, np.linspace(1e-3, 3.0, 600)),
+        (("p", None), 2.0, np.linspace(1e-3, 3.0, 600)),
+        (("u", 0.1), 0.5, np.linspace(1e-3, 1 - 1e-3, 400)),
     ],
 )
 def test_q_concavity(spec, chi, grid):
-    q = np.array([q_and_r(spec, chi, float(s))[0] for s in grid])
+    model, epsilon = spec
+    q = np.array([q_and_r(model, chi, float(s), epsilon)[0] for s in grid])
     second = q[2:] - 2.0 * q[1:-1] + q[:-2]
     assert np.max(second) <= 1e-9
 
@@ -368,14 +371,14 @@ def test_stationary_equation_residual(chi):
     h = 1e-4
     x = np.concatenate([np.linspace(-5.0, -0.05, 40), np.linspace(0.05, 8.0, 100)])
 
-    def resid(key, spec):
+    def resid(key):
         vm, v0, vp = (traveling_wave(key, chi, x + d) for d in (-h, 0.0, h))
-        am, a0, ap = (np.asarray(flux(spec, np.clip(v, 0, None if key == "p" else 1.0)))
+        am, a0, ap = (np.asarray(flux(key, np.clip(v, 0, None if key == "p" else 1.0)))
                       for v in (vm, v0, vp))
         dv = (vp - vm) / (2 * h)
         d2v = (vp - 2 * v0 + vm) / (h * h)
         da = (ap - am) / (2 * h)
         return -c * dv + chi * da - d2v - (v0 - a0)
 
-    assert np.max(np.abs(resid("u", FluxSpec.local_heaviside()))) <= 1e-6
-    assert np.max(np.abs(resid("p", FluxSpec.nonlocal_ramp()))) <= 1e-6
+    assert np.max(np.abs(resid("u"))) <= 1e-6
+    assert np.max(np.abs(resid("p"))) <= 1e-6
