@@ -136,8 +136,16 @@ def _literal(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, float)):
-        return repr(float(v))
+        return repr(float(v)) if _finite(v) else repr(v)
     return f'"{v}"'
+
+
+def _finite(v) -> bool:
+    """Whether v is a finite float; an int too large for one is not."""
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
 
 
 def _check_types(values: dict) -> None:
@@ -150,7 +158,7 @@ def _check_types(values: dict) -> None:
         if _OPTIONAL.get(key, type(_DEFAULTS[key])) is str:
             ok, name = isinstance(v, str), "a string"
         else:
-            ok = isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            ok = isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v)
             name = "a finite number"
         if not ok:
             raise ValueError(f"validation error on `{key[1]}`: expected {name}, got {_literal(v)}")
@@ -245,7 +253,6 @@ class _SnapshotWriter:
         self.next_t = max(self.next_t + self.every, state.t + self.every * 0.5)
         x = cfg.grid.nodes(state.x_left)
         name = f"snapshot_{state.t:.6g}.csv"
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         if cfg.model in (Model.LOCAL_U, Model.FKPP):
             _write_csv(self.out_dir / name, ["x", "u"], [x, state.field])
         else:
@@ -255,8 +262,8 @@ class _SnapshotWriter:
 
 
 def _open_run(cfg: RunConfig, out_dir: Path) -> tuple[TraceRecorder, list]:
-    """The recorder and the observers of a run; the output directory is
-    made by the first file written to it."""
+    """Create the output directory; return the recorder and the observers."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     rec = TraceRecorder()
     observers = [rec]
     if cfg.snapshot_every is not None:
@@ -267,7 +274,6 @@ def _open_run(cfg: RunConfig, out_dir: Path) -> tuple[TraceRecorder, list]:
 def _close_run(cfg: RunConfig, out_dir: Path, rec: TraceRecorder, final) -> int:
     """Write trace.csv and summary.json of a run that ended in the final
     state or in a RuntimeError; return the exit status."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     _flush_trace(out_dir, rec)
     if isinstance(final, RuntimeError):
         _write_summary(out_dir, {"status": 2, "error": str(final)})
@@ -304,6 +310,7 @@ def _close_run(cfg: RunConfig, out_dir: Path, rec: TraceRecorder, final) -> int:
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
+    solver.make_state(cfg.sim)  # a rejected initial field makes no directory
     rec, observers = _open_run(cfg, out_dir)
     try:
         final = solver.run(cfg.sim, observers=observers, trace_every=cfg.trace_every)
@@ -403,8 +410,12 @@ def cmd_sweep(chi_list: list[float], cfg: RunConfig, out_dir: Path, jobs: int = 
     if not chi_list or any(not math.isfinite(c) or c < 0 for c in chi_list):
         raise ValueError("validation error on `chi`: sweep needs finite nonnegative values")
     jobs = max(1, jobs)
-    # Every member's config is built, and so validated, before any member runs.
+    # Every member's config and initial field are built, and so validated,
+    # before any directory is made or any member runs.
     members = [dataclasses.replace(cfg, sim=_member_sim(cfg.sim, float(chi))) for chi in chi_list]
+    for member in members:
+        solver.make_state(member.sim)
+    out_dir.mkdir(parents=True, exist_ok=True)
     names: list[str] = []
     seen: dict[str, int] = {}
     for chi in chi_list:
@@ -435,7 +446,6 @@ def cmd_sweep(chi_list: list[float], cfg: RunConfig, out_dir: Path, jobs: int = 
         by_member.update(zip(part, part_rows))
     rows = [by_member[i] for i in range(len(members))]
     header = ["chi", "c_star", "r_fit", "r_theory", "moment_drift", "pass"]
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "sweep_summary.csv", header, [[row[k] for row in rows] for k in header])
     return 0 if all(r["status"] == 0 for r in rows) else 2
 

@@ -41,14 +41,14 @@ def test_cmd_run_runtime_abort_writes_summary(tmp_path, monkeypatch):
 
 
 NUMBER_KEYS = sorted(key for key, default in cli._DEFAULTS.items() if isinstance(default, float))
-NON_FINITE = ("nan", "inf", "-inf")
+NON_FINITE = ("nan", "inf", "-inf", "1" + "0" * 400)  # the last parses as an int too large for a float
 BAD_NUMBERS = [(key, value) for key in NUMBER_KEYS for value in ("none", "true", *NON_FINITE)]
 # none is the default of snapshot_every
 BAD_NUMBERS += [(("output", "snapshot_every"), value) for value in ("true", *NON_FINITE)]
 
 
 @pytest.mark.parametrize("cmd", ["run", "sweep"])
-@pytest.mark.parametrize("key,value", BAD_NUMBERS, ids=[f"{k}={v}" for (_, k), v in BAD_NUMBERS])
+@pytest.mark.parametrize("key,value", BAD_NUMBERS, ids=[f"{k}={v[:8]}" for (_, k), v in BAD_NUMBERS])
 def test_number_key_rejects_none_and_booleans(tmp_path, capsys, cmd, key, value):
     # none used to end in a float(None) traceback, true ran as 1.0, and
     # nan or inf ran, or ended in an OverflowError traceback
@@ -75,3 +75,20 @@ def test_rejected_initial_field_leaves_no_directory(tmp_path, capsys, cmd, bad):
     assert main([cmd, *chi, "--config", str(cfg_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["run", "sweep"])
+def test_out_that_is_a_file_fails_before_any_run(tmp_path, capsys, monkeypatch, cmd):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("stepping began before --out was made")
+
+    monkeypatch.setattr(solver, "run", no_compute)
+    monkeypatch.setattr(solver, "run_batch", no_compute)
+    cfg_path = tmp_path / "cfg.toml"
+    cfg_path.write_text(CONFIG)
+    out = tmp_path / "out"
+    out.write_text("a file\n")
+    chi = ["--chi", "0.5,2"] if cmd == "sweep" else []
+    assert main([cmd, *chi, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == "a file\n"
