@@ -1,4 +1,4 @@
-"""Microseconds per step of the Euler kernel, per model, grid size and batch.
+"""Microseconds per Euler step, per model, grid size and batch.
 
     python3 scripts/kernel_us.py --before OLD/src --after src --rounds 10 --out BENCH.json
     python3 scripts/kernel_us.py --src src          # one measurement, JSON to stdout
@@ -6,18 +6,24 @@
 Each measurement runs in a fresh interpreter that imports gogrow from the
 given `--src` directory, so two checkouts can be timed side by side:
 `--before` and `--after` alternate round by round, and the output file
-holds, per model, n and batch size, the median and quartiles of each
-side's per-round values with the machine, Python and numpy versions.
+holds, per case, the median and quartiles of each side's per-round values
+with the machine, Python and numpy versions.
 
-A measurement steps a Heaviside front in a frame moving at speed 2 with
-dx = 0.05 (n = 1601, 2041 and 3201 nodes) for a warm-up, then times
-blocks of `_Kernel.step_into` calls and keeps the median block.  A batch
-of B = 4 holds chi = 0.5, 1, 2 and 0.25 side by side.
+Every case steps a Heaviside front in a frame moving at speed 2 with
+dx = 0.05 (n = 1601, 2041 and 3201 nodes); a batch of B = 4 holds
+chi = 0.5, 1, 2 and 0.25 side by side.  Two kinds of case are timed:
+
+- `step_into`: after a warm-up, blocks of `_Kernel.step_into` calls, one
+  step each, of which the median block is kept;
+- `run_batch`: whole `solver.run_batch` runs of RUN_STEPS steps, with
+  their recentring and emits but no observer, of which the median run is
+  kept.  This is the stepping loop a run pays for.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -34,10 +40,12 @@ SIZES = (1601, 2041, 3201)
 CHIS = {1: (0.5,), 4: (0.5, 1.0, 2.0, 0.25)}
 DX = 0.05
 WARMUP, BLOCK, BLOCKS = 200, 400, 7
+RUN_STEPS, RUNS = 2000, 3
 
 
 def measure(src: str) -> dict:
-    """µs per step of every (model, n, B) case, timed with gogrow from src."""
+    """µs per step of every (kind, model, n, B) case, timed with gogrow
+    from src."""
     sys.path.insert(0, str(Path(src).resolve()))
     from gogrow import solver
 
@@ -49,22 +57,39 @@ def measure(src: str) -> dict:
             for rows, chis in CHIS.items():
                 cfgs = [solver.make_config(model, chi=chi, dx=DX, x_left=-width / 2, width=width,
                                            frame=frame) for chi in chis]
-                kern = solver._Kernel(cfgs)
-                cur = np.concatenate([solver.make_state(cfg).field for cfg in cfgs])
-                nxt = np.empty_like(cur)
-                dt = solver.stable_dt(cfgs[0])
-                t = 0.0
-                blocks = []
-                for b in range(BLOCKS + 1):
-                    start = time.perf_counter()
-                    for _ in range(WARMUP if b == 0 else BLOCK):
-                        kern.step_into(cur, t, dt, nxt)
-                        cur, nxt = nxt, cur
-                        t += dt
-                    if b:
-                        blocks.append((time.perf_counter() - start) / BLOCK * 1e6)
-                result[f"{model} n={n} B={rows}"] = statistics.median(blocks)
+                case = f"{model} n={n} B={rows}"
+                result[f"step_into {case}"] = _step_into_us(solver, cfgs)
+                result[f"run_batch {case}"] = _run_batch_us(solver, cfgs)
     return result
+
+
+def _step_into_us(solver, cfgs) -> float:
+    kern = solver._Kernel(cfgs)
+    cur = np.concatenate([solver.make_state(cfg).field for cfg in cfgs])
+    nxt = np.empty_like(cur)
+    dt = solver.stable_dt(cfgs[0])
+    t = 0.0
+    blocks = []
+    for b in range(BLOCKS + 1):
+        start = time.perf_counter()
+        for _ in range(WARMUP if b == 0 else BLOCK):
+            kern.step_into(cur, t, dt, nxt)
+            cur, nxt = nxt, cur
+            t += dt
+        if b:
+            blocks.append((time.perf_counter() - start) / BLOCK * 1e6)
+    return statistics.median(blocks)
+
+
+def _run_batch_us(solver, cfgs) -> float:
+    t_end = RUN_STEPS * solver.stable_dt(cfgs[0])
+    cfgs = [dataclasses.replace(cfg, t_end=t_end) for cfg in cfgs]
+    runs = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        solver.run_batch(cfgs, [[] for _ in cfgs])
+        runs.append((time.perf_counter() - start) / RUN_STEPS * 1e6)
+    return statistics.median(runs)
 
 
 def _child(src: Path) -> dict:
@@ -119,7 +144,8 @@ def main(argv=None) -> int:
             "after_faster_rounds": sum(a < b for a, b in zip(after, before)),
         }
     report = {
-        "what": "microseconds per _Kernel.step_into call, median block of each round",
+        "what": "microseconds per step: of _Kernel.step_into calls (median block of each round) "
+                "and of whole solver.run_batch runs (median run of each round)",
         "machine": {"platform": platform.platform(), "cpu": _cpu_model(), "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -128,7 +154,7 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for case, row in cases.items():
-        print(f"{case:26s} {row['before_us']['median']:8.2f} -> {row['after_us']['median']:8.2f} us"
+        print(f"{case:36s} {row['before_us']['median']:8.2f} -> {row['after_us']['median']:8.2f} us"
               f"  ({row['after_faster_rounds']}/{args.rounds} faster)")
     return 0
 

@@ -30,12 +30,25 @@ keeps configured margins to both edges.  Runs whose configs share
 batch_key step side by side in one flat array (run_batch); a single run
 is a batch of one.  Only the batch writes a row: observers read it
 through a read-only view.
+
+run_batch steps from event to event.  An event is a step after which
+the window is checked (every 0.25 time units), the observers are due
+(every trace_every), or the last step, the only one shortened so that
+the run ends at t_end exactly.  The steps between two events are one
+call of _Kernel.advance, a plain loop over prebuilt views of the two
+buffers, so a step pays for its numpy calls and little else.  Each step
+is checked by one global guard, out[argmin] >= 0 and out[argmax] <= a
+ceiling (1 + 1e-12 for the bounded models); argmin and argmax return the
+first NaN, and an infinity fails one of the two tests, so every value
+the per-row guards would refuse trips it.  The loop returns at the step
+that tripped it, and the per-row guards then clip or drop its rows.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -51,9 +64,14 @@ class Model(enum.Enum):
     FKPP = "fkpp"  # logistic reference: v_t = v_xx + v(1 - v), no flux
 
 
+# The most nodes a window may have: a row of this many takes 8 MB, and
+# every grid of the tests and the benchmark has at most 6,001.
+MAX_NODES = 1_000_001
+
+
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform window of n nodes x_i = x_left + i*dx."""
+    """Uniform window of n nodes x_i = x_left + i*dx, 8 <= n <= MAX_NODES."""
 
     x_left: float
     dx: float
@@ -66,6 +84,8 @@ class Grid1D:
             raise ValueError(f"dx must be positive, got {self.dx!r}")
         if self.n < 8:
             raise ValueError(f"need at least 8 nodes, got {self.n}")
+        if self.n > MAX_NODES:
+            raise ValueError(f"need at most {MAX_NODES} nodes, got {self.n}")
         if self.n * self.dx < 20.0:
             raise ValueError("window narrower than 20 cannot hold a front")
 
@@ -272,6 +292,12 @@ def make_config(
     """
     model = Model(model) if not isinstance(model, Model) else model
     cp = minimal_speed(chi)
+    for name, value in (("width", width), ("dx", dx)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    # a ratio that overflows to inf fails this test too
+    if not width / dx <= MAX_NODES - 1:
+        raise ValueError(f"width {width!r} at dx {dx!r} needs more than {MAX_NODES} nodes")
     n = int(round(width / dx)) + 1
     grid = Grid1D(x_left=float(x_left), dx=float(dx), n=n)
     if frame == "lab":
@@ -460,7 +486,10 @@ class _Kernel:
     states are kept exactly.  The rows of B configs that share batch_key
     lie end to end in one flat array of B*n nodes; each row runs its own
     pair of weights, so a row of a batch is rounded exactly as its own run.
-    The weights are rebuilt only when dt or the frame drift changes.
+    The weights are rebuilt only when dt or the frame drift changes, which
+    the log-shifted frame does on every step.  advance takes any number
+    of steps through views built once per pair of buffers (legs), and
+    step_into is its one-step case.
 
     The density model's R = [P < 1] rho switches at one node of each row,
     the first where dx times the sequential suffix sum drops below 1.
@@ -485,6 +514,16 @@ class _Kernel:
         self.plateau_rate = None if eps is None else (1.0 - eps) / eps
         self.frame = cfg.frame
         self.bounded = self.model in (Model.LOCAL_U, Model.FKPP)
+        # the largest value a stepped row may take without its guard
+        self.ceiling = 1.0 + 1e-12 if self.bounded else sys.float_info.max
+        # the model's reaction, unbound: a bound method kept on the kernel
+        # would make a reference cycle that only the garbage collector frees
+        self._reaction = {
+            Model.LOCAL_U: _Kernel._local,
+            Model.NONLOCAL_P: _Kernel._ramp,
+            Model.NONLOCAL_RHO: _Kernel._density,
+            Model.FKPP: _Kernel._logistic,
+        }[self.model]
         size = self.rows * n
         self._react = np.empty(size)
         # the switch node of each row (None: unknown), the mask [P < 1]
@@ -506,47 +545,53 @@ class _Kernel:
         # which cost less than strided views
         self._edges = [i if self.rows == 1 else slice(i, None, n) for i in (0, 1, 2, n - 1)]
 
-    def _stencils(self, dt: float, drift: float) -> list:
-        """(row, interior, v-weights, R-weights) of every row for this dt
-        and drift."""
-        if self._key != (dt, drift):
-            lam = dt / (self.dx * self.dx)
-            d = dt * drift / (2.0 * self.dx)
-            self._weights = []
-            for (row, inner), chi in zip(self._slices, self.chi):
-                m = dt * chi / (2.0 * self.dx)
-                wv = np.array([lam - d + m, -2.0 * lam, lam + d - m])
-                # with m = 0 (FKPP, chi = 0) the R-stencil is one multiply
-                self._weights.append((row, inner, wv, np.array([-m, dt, m]) if m else None))
-            self._key = (dt, drift)
-        return self._weights
+    def legs(self, a: np.ndarray, b: np.ndarray) -> tuple:
+        """The views that step a into b and b into a, for advance."""
+        return self._leg(a, b), self._leg(b, a)
 
-    def _reaction(self, v: np.ndarray) -> np.ndarray:
-        """R = v - A(v) of every row (v(1 - v) for FKPP), into scratch."""
+    def _leg(self, v: np.ndarray, out: np.ndarray) -> tuple:
         r = self._react
-        if self.model is Model.LOCAL_U:
-            # v below the switch, (1 - eps)/eps (1 - v) on the plateau side
-            np.subtract(1.0, v, out=r)
-            r *= self.plateau_rate
-            np.minimum(r, v, out=r)
-        elif self.model is Model.NONLOCAL_P:
-            np.minimum(v, 1.0, out=r)
-        elif self.model is Model.NONLOCAL_RHO:
-            # [P < 1] rho with P = dx * the suffix sums of each row
-            n, mask = self.n, self._mask
-            for j, k in enumerate(self.switch):
-                lo = j * n
-                at = None if k is None else self._locate(v[lo : lo + n], k)
-                if at is None:
-                    at = self._suffix_switch(v[lo : lo + n], mask[lo : lo + n])
-                elif at != k:
-                    mask[lo + min(at, k) : lo + max(at, k)] = float(at < k)
-                self.switch[j] = at
-            np.multiply(mask, v, out=r)
-        else:
-            np.subtract(1.0, v, out=r)
-            r *= v
-        return r
+        return v, out, [(v[row], v[inner], out[inner], r[row], r[inner]) for row, inner in self._slices]
+
+    def _reweigh(self, dt: float, drift: float) -> None:
+        """The (v-weights, R-weights) of every slice for this dt and drift."""
+        lam = dt / (self.dx * self.dx)
+        d = dt * drift / (2.0 * self.dx)
+        self._weights = []
+        for _, chi in zip(self._slices, self.chi):
+            m = dt * chi / (2.0 * self.dx)
+            wv = np.array([lam - d + m, -2.0 * lam, lam + d - m])
+            # with m = 0 (FKPP, chi = 0) the R-stencil is one multiply
+            self._weights.append((wv, np.array([-m, dt, m]) if m else None))
+        self._key = (dt, drift)
+
+    def _local(self, v: np.ndarray) -> None:
+        # v below the switch, (1 - eps)/eps (1 - v) on the plateau side
+        r = self._react
+        np.subtract(1.0, v, out=r)
+        r *= self.plateau_rate
+        np.minimum(r, v, out=r)
+
+    def _ramp(self, v: np.ndarray) -> None:
+        np.minimum(v, 1.0, out=self._react)
+
+    def _density(self, v: np.ndarray) -> None:
+        # [P < 1] rho with P = dx * the suffix sums of each row
+        n, mask = self.n, self._mask
+        for j, k in enumerate(self.switch):
+            lo = j * n
+            at = None if k is None else self._locate(v[lo : lo + n], k)
+            if at is None:
+                at = self._suffix_switch(v[lo : lo + n], mask[lo : lo + n])
+            elif at != k:
+                mask[lo + min(at, k) : lo + max(at, k)] = float(at < k)
+            self.switch[j] = at
+        np.multiply(mask, v, out=self._react)
+
+    def _logistic(self, v: np.ndarray) -> None:
+        r = self._react
+        np.subtract(1.0, v, out=r)
+        r *= v
 
     def _suffix_switch(self, row: np.ndarray, mask: np.ndarray) -> int | None:
         """Write [P < 1] of one row from its sequential suffix sums into
@@ -586,6 +631,46 @@ class _Kernel:
             tail = wider  # the crossing moved left
         return None
 
+    def advance(self, legs: tuple, times, dt: float) -> tuple[int, list | None]:
+        """Take one step of length dt from each time in times, from the
+        first leg's v into its out, the next from the second leg's, and so
+        on in turn (legs from legs(a, b)).
+
+        Returns the number of steps taken and None, or, when a step's
+        guard tripped, the steps up to and including that one and the
+        entry of every row that step_into returns; out then holds that
+        step's rows, clipped.
+        """
+        react, drift_at, ceiling = self._reaction, self.frame.drift, self.ceiling
+        first, second, third, last = self._edges
+        left_linear = self.model is Model.NONLOCAL_P
+        taken = 0
+        for t in times:
+            v, out, rows = legs[taken % len(legs)]
+            taken += 1
+            react(self, v)
+            drift = drift_at(t)
+            if self._key != (dt, drift):
+                self._reweigh(dt, drift)
+            for (v_row, v_inner, rhs, r_row, r_inner), (wv, wr) in zip(rows, self._weights):
+                np.add(v_inner, np.correlate(v_row, wv), out=rhs)
+                if wr is None:
+                    r_inner *= dt
+                    rhs += r_inner
+                else:
+                    rhs += np.correlate(r_row, wr)
+            out[last] = 0.0
+            if left_linear:
+                out[first] = 2.0 * out[second] - out[third]  # linear-growth left asymptote
+            else:
+                out[first] = v[first]  # plateau held fixed for one step
+            # argmin and argmax find the first NaN, and an infinity fails
+            # one of the two tests
+            if not (out[out.argmin()] >= 0.0 and out[out.argmax()] <= ceiling):
+                # a guard tripped somewhere: each row in the order of a single run
+                return taken, [self._guard(row) for row in out.reshape(self.rows, self.n)]
+        return taken, None
+
     def step_into(self, v: np.ndarray, t: float, dt: float, out: np.ndarray) -> list | None:
         """Write the update of every row of v into out.
 
@@ -593,32 +678,7 @@ class _Kernel:
         row: the number of undershoot nodes clipped to 0, or the message
         of the guard that failed.
         """
-        r = self._reaction(v)
-        for row, inner, wv, wr in self._stencils(dt, self.frame.drift(t)):
-            rhs = out[inner]
-            np.add(v[inner], np.correlate(v[row], wv), out=rhs)
-            if wr is None:
-                react = r[inner]
-                react *= dt
-                rhs += react
-            else:
-                rhs += np.correlate(r[row], wr)
-
-        first, second, third, last = self._edges
-        out[last] = 0.0
-        if self.model is Model.NONLOCAL_P:
-            out[first] = 2.0 * out[second] - out[third]  # linear-growth left asymptote
-        else:
-            out[first] = v[first]  # plateau held fixed for one step
-
-        # min and max propagate NaN, and an infinity is one of them
-        mn = float(np.minimum.reduce(out))
-        mx = float(np.maximum.reduce(out))
-        if math.isfinite(mn) and math.isfinite(mx) and mn >= 0.0:
-            if not (self.bounded and mx > 1.0 + 1e-12):
-                return None
-        # a guard tripped somewhere: each row in the order of a single run
-        return [self._guard(row) for row in out.reshape(self.rows, self.n)]
+        return self.advance((self._leg(v, out),), (t,), dt)[1]
 
     def _guard(self, row: np.ndarray) -> int | str:
         """The guards of one row: clips undershoots within the roundoff
@@ -713,7 +773,11 @@ class _Batch:
         self.results: list = [None] * len(cfgs)
         self.cur = np.concatenate([s.field for s in states])
         self.nxt = np.empty_like(self.cur)
+        self._kernel(cfgs)
+
+    def _kernel(self, cfgs: Sequence[SimConfig]) -> None:
         self.kern = _Kernel(cfgs)
+        self.legs = self.kern.legs(self.cur, self.nxt)
 
     def row(self, j: int) -> np.ndarray:
         return self.cur[j * self.n : (j + 1) * self.n]
@@ -727,7 +791,7 @@ class _Batch:
         self.cur = self.cur.reshape(-1, self.n)[keep].ravel()
         self.nxt = np.empty_like(self.cur)
         if self.live:
-            self.kern = _Kernel([self.cfgs[i] for i in self.live])
+            self._kernel([self.cfgs[i] for i in self.live])
 
     def emit(self, t: float) -> None:
         failures = {}
@@ -747,19 +811,40 @@ class _Batch:
         for j, i in enumerate(self.live):
             self.x_left[i] = _maybe_recenter(self.row(j), self.x_left[i], self.cfgs[i])
 
-    def step(self, k: int, t: float, dt: float) -> None:
-        guarded = self.kern.step_into(self.cur, t, dt, self.nxt)
-        self.cur, self.nxt = self.nxt, self.cur
+    def advance(self, k0: int, k1: int, dt: float, h: float) -> int:
+        """Take steps k0 .. k1 - 1, step k of length h from t = k dt, and
+        return the last one taken: k1 - 1, or the first whose guard
+        tripped, after its rows were clipped or dropped."""
+        taken, guarded = self.kern.advance(self.legs, (k * dt for k in range(k0, k1)), h)
+        if taken % 2:
+            self.cur, self.nxt = self.nxt, self.cur
+            self.legs = self.legs[::-1]
+        k = k0 + taken - 1
         if guarded is None:
-            return
+            return k
         failures = {}
         for j, clips in enumerate(guarded):
             if isinstance(clips, str):
-                failures[j] = RuntimeError(f"step {k} at t = {t:.6g} failed: {clips}")
+                failures[j] = RuntimeError(f"step {k} at t = {k * dt:.6g} failed: {clips}")
             else:
                 self.clips[self.live[j]] += clips
         if failures:
             self.drop(failures)
+        return k
+
+
+def _emit_step(k: int, last: int, dt: float, next_emit: float) -> int:
+    """The first step j in k .. last after which run_batch emits, the
+    first with (j + 1) dt >= next_emit - 1e-9, or last."""
+    due = next_emit - 1e-9
+    ratio = due / dt
+    j = last if not ratio < last + 1 else max(k, math.ceil(ratio) - 1)
+    # (j + 1) dt is monotone in j: step onto the first j that passes
+    while j > k and j * dt >= due:
+        j -= 1
+    while j < last and (j + 1) * dt < due:
+        j += 1
+    return j
 
 
 def run_batch(
@@ -792,19 +877,29 @@ def run_batch(
         dt_last = t_end - dt * (n_steps - 1)
         recheck = max(1, int(round(0.25 / dt)))
         next_emit = trace_every
-        for k in range(n_steps):
-            if not batch.live:
-                break
-            batch.step(k, k * dt, dt if k < n_steps - 1 else dt_last)
-            t_new = (k + 1) * dt if k < n_steps - 1 else t_end
+        last = n_steps - 1
+        k = 0
+        while k < n_steps and batch.live:
+            # step to the next event: a recentre, an emit or the last step,
+            # which alone takes dt_last
+            event = _emit_step(k, last, dt, next_emit)
+            if recenter:
+                event = min(event, (k // recheck + 1) * recheck - 1)
+            if k < last:
+                k = batch.advance(k, min(event, last - 1) + 1, dt, dt)
+            else:
+                k = batch.advance(k, n_steps, dt, dt_last)
+            # step k is an event, or a step whose guard tripped and none is due
             if recenter and (k + 1) % recheck == 0:
                 batch.recenter()
-            if k == n_steps - 1:
+            if k == last:
                 batch.emit(t_end)
-            elif t_new >= next_emit - 1e-9:
+            elif (k + 1) * dt >= next_emit - 1e-9:
+                t_new = (k + 1) * dt
                 batch.emit(t_new)
                 while next_emit <= t_new + 1e-9:
                     next_emit += trace_every
+            k += 1
     for j, i in enumerate(batch.live):
         batch.results[i] = SimState(
             t=t_end if t_end > 0.0 else 0.0,

@@ -1,6 +1,7 @@
 """The CLI leaves a clean record when a sweep or a run cannot go through."""
 
 import json
+import math
 
 import pytest
 
@@ -92,3 +93,41 @@ def test_out_that_is_a_file_fails_before_any_run(tmp_path, capsys, monkeypatch, 
     assert main([cmd, *chi, "--config", str(cfg_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert out.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("cmd", ["run", "sweep"])
+@pytest.mark.parametrize("key,value", [
+    ("width", "1e12"),  # 2e13 nodes at dx = 0.05: an 80 TB row
+    ("width", "0"),
+    ("width", "-5"),
+    ("dx", "0"),
+    ("dx", "1e-9"),  # 8e10 nodes over the default width
+])
+def test_grid_size_is_checked_before_any_compute(tmp_path, capsys, monkeypatch, cmd, key, value):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a field was made for a grid that should be refused")
+
+    for name in ("make_state", "run", "run_batch"):
+        monkeypatch.setattr(solver, name, no_compute)
+    cfg_path = tmp_path / "cfg.toml"
+    cfg_path.write_text(f"[grid]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    chi = ["--chi", "0.5,2"] if cmd == "sweep" else []
+    assert main([cmd, *chi, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation error: ") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("width", [math.inf, math.nan, 1e308])
+def test_make_config_names_a_width_it_cannot_grid(width):
+    with pytest.raises(ValueError, match="width"):
+        solver.make_config(dx=1e-300 if width == 1e308 else 0.1, width=width)
+
+
+def test_node_cap_is_inclusive():
+    assert solver.make_config(dx=1e-4, width=100.0, x_left=-50.0).grid.n == solver.MAX_NODES
+    with pytest.raises(ValueError, match="width"):
+        solver.make_config(dx=1e-4, width=100.0 + 1e-4, x_left=-50.0)
+    with pytest.raises(ValueError, match="at most"):
+        solver.Grid1D(x_left=0.0, dx=1e-4, n=solver.MAX_NODES + 1)
