@@ -11,6 +11,10 @@ directory:
   and 2, each with `--jobs` 1 and 2;
 - a run of the default config for every model in every frame;
 - a `nonlocal_rho` sweep of three chi with snapshots;
+- traveling-wave runs in the frame moving at c*(chi), on the benchmark's
+  `wave_refinement` window at dx = 0.02, with snapshots: `local_u` at a
+  pulled and a pushed chi and `nonlocal_rho` at the pulled one, whose
+  plateaus the kernel's band skips;
 - `gogrow wave` for every model at a pulled and a pushed chi.
 
 The two directories are then compared file by file.  The script prints
@@ -49,6 +53,25 @@ t_end = 20
 trace_every = 0.5
 snapshot_every = 5
 """
+WAVE_RUN = """\
+[model]
+kind = "{model}"
+chi = {chi}
+[grid]
+dx = 0.02
+x_left = -15
+width = 32
+[run]
+t_end = 1
+frame = "moving"
+init = "traveling_wave"
+left_pad = 8
+right_pad = 8
+[output]
+trace_every = 0.1
+snapshot_every = 0.5
+"""
+WAVE_RUNS = (("local_u", 0.081), ("local_u", 2.347), ("nonlocal_rho", 0.081))
 WAVES = ((0.5, "u"), (0.5, "p"), (0.5, "rho"), (2.0, "u"), (2.0, "p"), (2.0, "rho"))
 
 
@@ -79,6 +102,10 @@ def write_outputs(src: Path, into: Path) -> None:
     config = into / "inputs" / "rho_sweep.toml"
     config.write_text(RHO_SWEEP)
     gogrow("sweep", "--chi", "0.5,1,2", "--config", config, "--out", into / "rho_sweep")
+    for model, chi in WAVE_RUNS:
+        config = into / "inputs" / f"wave_{model}_{chi}.toml"
+        config.write_text(WAVE_RUN.format(model=model, chi=chi))
+        gogrow("run", "--config", config, "--out", into / f"wave_run_{model}_{chi}")
     for chi, model in WAVES:
         gogrow("wave", "--chi", chi, "--model", model, "--xmin", -20, "--xmax", 20, "--dx", 0.05,
                "--out", into / f"wave_{model}_{chi}.csv")

@@ -18,6 +18,12 @@ chi = 0.5, 1, 2 and 0.25 side by side.  Two kinds of case are timed:
 - `run_batch`: whole `solver.run_batch` runs of RUN_STEPS steps, with
   their recentring and emits but no observer, of which the median run is
   kept.  This is the stepping loop a run pays for.
+
+A third kind, `wave`, times `run_batch` runs of RUN_STEPS steps of B = 1
+on the benchmark's `wave_refinement` shape: the closed-form traveling
+wave of each model in the frame moving at c*(chi), on the window
+[-15, 17] at dx = 0.02 and 0.01 (n = 1601 and 3201), without recentring.
+Its plateaus are what the kernel's band skips.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ CHIS = {1: (0.5,), 4: (0.5, 1.0, 2.0, 0.25)}
 DX = 0.05
 WARMUP, BLOCK, BLOCKS = 200, 400, 7
 RUN_STEPS, RUNS = 2000, 3
+WAVE_MODELS = ("local_u", "nonlocal_p", "nonlocal_rho")
+WAVE_DX = (0.02, 0.01)
+WAVE_CHIS = (0.3, 2.0)
 
 
 def measure(src: str) -> dict:
@@ -60,6 +69,13 @@ def measure(src: str) -> dict:
                 case = f"{model} n={n} B={rows}"
                 result[f"step_into {case}"] = _step_into_us(solver, cfgs)
                 result[f"run_batch {case}"] = _run_batch_us(solver, cfgs)
+    for model in WAVE_MODELS:
+        for dx in WAVE_DX:
+            for chi in WAVE_CHIS:
+                cfg = solver.make_config(model, chi=chi, dx=dx, x_left=-15.0, width=32.0, frame="moving",
+                                         init="traveling_wave", left_pad=8.0, right_pad=8.0)
+                case = f"wave {model} n={cfg.grid.n} chi={chi}"
+                result[case] = _run_batch_us(solver, [cfg], recenter=False)
     return result
 
 
@@ -81,13 +97,13 @@ def _step_into_us(solver, cfgs) -> float:
     return statistics.median(blocks)
 
 
-def _run_batch_us(solver, cfgs) -> float:
+def _run_batch_us(solver, cfgs, recenter=True) -> float:
     t_end = RUN_STEPS * solver.stable_dt(cfgs[0])
     cfgs = [dataclasses.replace(cfg, t_end=t_end) for cfg in cfgs]
     runs = []
     for _ in range(RUNS):
         start = time.perf_counter()
-        solver.run_batch(cfgs, [[] for _ in cfgs])
+        solver.run_batch(cfgs, [[] for _ in cfgs], recenter=recenter)
         runs.append((time.perf_counter() - start) / RUN_STEPS * 1e6)
     return statistics.median(runs)
 
@@ -145,7 +161,8 @@ def main(argv=None) -> int:
         }
     report = {
         "what": "microseconds per step: of _Kernel.step_into calls (median block of each round) "
-                "and of whole solver.run_batch runs (median run of each round)",
+                "and of whole solver.run_batch runs (median run of each round; wave: traveling "
+                "waves in their moving frame, no recentring)",
         "machine": {"platform": platform.platform(), "cpu": _cpu_model(), "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "numpy": np.__version__,

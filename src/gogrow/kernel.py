@@ -1,0 +1,435 @@
+"""The forward-Euler update of the rows of a batch (see solver).
+
+Written with the reaction field R = v - A(v), one step is two three-point
+stencils, one over v and one over R (see _Kernel); R vanishes at 0 and 1,
+so both stationary states are kept exactly.  The density model's
+R = [P < 1] rho switches at one node, which each row carries from step to
+step and confirms from one tail sum, falling back to the full suffix sum
+only when roundoff could decide it; R is bit for bit the same.
+
+_Kernel.advance takes the steps between two events of solver.run_batch:
+a plain loop over prebuilt views of the two buffers, so a step pays for
+its numpy calls and little else.  Each step is checked by one global
+guard, out[argmin] >= 0 and out[argmax] <= a ceiling (1 + 1e-12 for the
+bounded models); argmin and argmax return the first NaN, and an infinity
+fails one of the two tests, so every value the per-row guards would
+refuse trips it.  The loop returns at the step that tripped it, and the
+per-row guards then clip or refuse its rows.
+
+Behind the front most nodes do not change: a row's leading run of nodes
+equal to its left value, with reaction exactly 0 (the plateau at 1 of
+local_u and fkpp, the density model's plateau left of its switch node),
+steps to itself bit for bit whenever the weights absorb the v-stencil.
+advance checks that for every set of weights and steps only a band of
+each row, from one node left of the end of that run; the skipped nodes
+are copied, so the guard still reads every node.  nonlocal_p has no such
+run, and step_into steps every node.
+"""
+
+from __future__ import annotations
+
+import enum
+import itertools
+import math
+import sys
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from .solver import SimConfig
+
+
+class Model(enum.Enum):
+    LOCAL_U = "local_u"
+    NONLOCAL_P = "nonlocal_p"
+    NONLOCAL_RHO = "nonlocal_rho"
+    FKPP = "fkpp"  # logistic reference: v_t = v_xx + v(1 - v), no flux
+
+
+# the nodes a band widens by when its run recedes
+_MARGIN = 16
+
+
+class _Kernel:
+    """Cached weights and scratch for the Euler update of B rows.
+
+    With lam = dt/dx^2, d = dt c_frame/2dx and m = dt chi/2dx, the update
+    of every interior node is two three-point stencils,
+
+        out = v + corr(v, [lam - d + m, -2 lam, lam + d - m])
+                + corr(R, [-m, dt, m]),
+
+    over v and over its reaction field R = v - A(v) (v(1 - v) with m = 0
+    for the FKPP reference).  R vanishes exactly at 0 and 1, and the
+    v-weights sum to well under half an ulp of 1, so both stationary
+    states are kept exactly.  The rows of B configs that share batch_key
+    lie end to end in one flat array of B*n nodes; each row runs its own
+    pair of weights, so a row of a batch is rounded exactly as its own run.
+    The weights are rebuilt only when dt or the frame drift changes, which
+    the log-shifted frame does on every step.  advance takes any number
+    of steps, in turn from one buffer into the other and back, through
+    views it builds once for each band, and step_into is its one-step
+    case.
+
+    advance steps only a band of each slice (a row, or the first row of
+    rows that share chi).  A row's leading run is its nodes equal to its
+    left value c, with 0 < c within the guard and reaction exactly 0: the
+    plateau at 1 behind a local_u or fkpp front, and the density model's
+    plateau left of its switch node.  Inside the run both stencils give
+    c + corr([c, c, c], wv) + 0, which is c bit for bit whenever the
+    current weights absorb the v-stencil; _keeps checks that for every
+    new set of weights, and a slice whose weights fail it steps in full.
+    The band starts one node left of the first node past the run: the
+    nodes left of it see only the run and would come out as they were.
+    They are copied from v instead, so out is a whole state and the
+    guard still reads every node.  Each call of advance finds the band
+    again (_find), but keeps the one in use while that still starts inside
+    the run and fewer than _MARGIN nodes short of the new start, so that
+    the views of a band are built rarely.  Within a call the band only
+    widens (_widen): by _MARGIN nodes after a step that moved its first
+    node off c, and for the density model to below the switch node when
+    that moves into the run.  The reaction runs from the first band to the
+    end of the array.
+    nonlocal_p has no run (its P grows on the left), and step_into, which
+    writes into a caller's buffer, steps every node.
+
+    The density model's R = [P < 1] rho switches at one node of each row,
+    the first where dx times the sequential suffix sum drops below 1.
+    Rows the kernel stepped are nonnegative, so those sums are monotone
+    and that node decides the whole mask.  Each row keeps its switch node
+    from step to step and confirms it, or a neighbour, from one tail sum
+    (_locate), which refuses a row that a recentring shift moved by more
+    than a node.  When that fails, or no node is known (switch[j] is None:
+    the first step of a new kernel, or a row whose mask was not one step),
+    the row takes the full suffix sum, and fallbacks counts those rows.
+    Either way R is the same 0/1 mask times rho, bit for bit.
+    """
+
+    def __init__(self, cfgs: Sequence[SimConfig]):
+        cfg = cfgs[0]
+        self.model = cfg.model
+        self.n = n = cfg.grid.n
+        self.rows = len(cfgs)
+        self.dx = cfg.grid.dx
+        self.chi = [0.0 if self.model is Model.FKPP else c.chi_params.chi for c in cfgs]
+        eps = cfg.epsilon
+        self.plateau_rate = None if eps is None else (1.0 - eps) / eps
+        self.frame = cfg.frame
+        self.bounded = self.model in (Model.LOCAL_U, Model.FKPP)
+        # the largest value a stepped row may take without its guard
+        self.ceiling = 1.0 + 1e-12 if self.bounded else sys.float_info.max
+        # the model's reaction, unbound: a bound method kept on the kernel
+        # would make a reference cycle that only the garbage collector frees
+        self._reaction = {
+            Model.LOCAL_U: _Kernel._local,
+            Model.NONLOCAL_P: _Kernel._ramp,
+            Model.NONLOCAL_RHO: _Kernel._density,
+            Model.FKPP: _Kernel._logistic,
+        }[self.model]
+        size = self.rows * n
+        self._react = np.empty(size)
+        # the switch node of each row (None: unknown), the mask [P < 1]
+        # that matches it, and the roundoff margin that proves it
+        self.switch: list = [None] * self.rows
+        self.fallbacks = 0
+        self._mask = None
+        if self.model is Model.NONLOCAL_RHO:
+            self._mask = np.empty(size)
+            eta = 4.0 * (n + 2) * 2.0**-53
+            self._below, self._above = 1.0 - eta, 1.0 + eta
+        self._key = None
+        self._weights: list = []
+        # the first and one-past-last node of each slice; rows that share chi
+        # share their weights and take one stencil over the whole array,
+        # whose values across a row boundary the edge rules then overwrite
+        span = size if len(set(self.chi)) == 1 else n
+        self._spans = [(lo, lo + span) for lo in range(0, size, span)]
+        # the band of each slice: its first stepped node (1: all of them)
+        # and the value of the run left of it (None: no run is skipped);
+        # the views of the band by pair of buffers, dropped when it changes
+        self._full = [1] * len(self._spans)
+        self._start = list(self._full)
+        self._const: list = [None] * len(self._spans)
+        self._stale = False
+        self._views: dict = {}
+        # whether a run of value c rests, and whether the current weights
+        # of slice j keep it, by c and by (j, c)
+        self._at_rest: dict = {}
+        self._absorbed: dict = {}
+        # nodes 0, 1, 2 and n-1 of every row; plain indices for one row,
+        # which cost less than strided views
+        self._edges = [i if self.rows == 1 else slice(i, None, n) for i in (0, 1, 2, n - 1)]
+
+    def _leg(self, v: np.ndarray, out: np.ndarray, start: Sequence[int]) -> tuple:
+        """v, out, the reaction's views of v, R and the mask, the stencils'
+        views of each slice from its first stepped node on, and the
+        skipped nodes to copy."""
+        r = self._react
+        rows, copies = [], []
+        for (lo, hi), s in zip(self._spans, start):
+            a = lo + s
+            rows.append((v[a - 1 : hi], v[a : hi - 1], out[a : hi - 1], r[a - 1 : hi], r[a : hi - 1]))
+            if s > 1:
+                copies.append((out[lo + 1 : a], v[lo + 1 : a]))
+        a = start[0] - 1
+        if a == 0:
+            return v, out, v, r, self._mask, rows, copies
+        mask = None if self._mask is None else self._mask[a:]
+        return v, out, v[a:], r[a:], mask, rows, copies
+
+    def _reweigh(self, dt: float, drift: float) -> None:
+        """The (v-weights, R-weights) of every slice for this dt and drift;
+        a band whose run these weights would move steps in full."""
+        lam = dt / (self.dx * self.dx)
+        d = dt * drift / (2.0 * self.dx)
+        self._weights = []
+        for _, chi in zip(self._spans, self.chi):
+            m = dt * chi / (2.0 * self.dx)
+            wv = np.array([lam - d + m, -2.0 * lam, lam + d - m])
+            # with m = 0 (FKPP, chi = 0) the R-stencil is one multiply
+            self._weights.append((wv, np.array([-m, dt, m]) if m else None))
+        self._key = (dt, drift)
+        self._absorbed = {}
+        for j, c in enumerate(self._const):
+            if c is not None and not self._keeps(j, c):
+                self._widen(j, 1)
+
+    def _keeps(self, j: int, c: float) -> bool:
+        """Whether the weights of slice j step a run of value c to c bit for
+        bit: v + corr(v, wv) as the stencil computes it, plus R = 0."""
+        key = (j, c)
+        if key not in self._absorbed:
+            self._absorbed[key] = c + float(np.correlate(np.full(3, c), self._weights[j][0])[0]) == c
+        return self._absorbed[key]
+
+    def _rests(self, c: float) -> bool:
+        """Whether a run of value c is at rest: positive, inside the guard,
+        and of reaction exactly 0 (the density model's switch node decides
+        that one, step by step)."""
+        if not 0.0 < c <= self.ceiling:
+            return False
+        if c not in self._at_rest:
+            rests = True
+            if self.model is not Model.NONLOCAL_RHO:
+                r = np.empty(1)
+                self._reaction(self, np.array([c]), r, None)
+                rests = bool(r[0] == 0.0)
+            self._at_rest[c] = rests
+        return self._at_rest[c]
+
+    def _find(self, v: np.ndarray) -> None:
+        """Set the band of each slice from the leading run of its first row
+        of v: it starts one node left of the first node past the run, or
+        stays where it was while that is inside the run and fewer than
+        _MARGIN nodes left of the new start."""
+        n = self.n
+        for j, (lo, _) in enumerate(self._spans):
+            c = float(v[lo])
+            start = 1
+            if self._rests(c) and self._keeps(j, c):
+                # the first node off c; node n - 1 is never part of the run
+                start = (int(np.argmax(v[lo : lo + n - 1] != c)) or n - 1) - 1
+                if c == self._const[j] and start - _MARGIN < self._start[j] <= start:
+                    continue
+            band = (start, c) if start > 1 else (1, None)
+            if band != (self._start[j], self._const[j]):
+                self._start[j], self._const[j] = band
+                self._stale = True
+
+    def _widen(self, j: int, start: int) -> None:
+        """Step slice j from node start on, if that widens its band."""
+        start = max(start, 1)
+        if start < self._start[j]:
+            self._start[j] = start
+            if start == 1:
+                self._const[j] = None
+            self._stale = True
+
+    def _local(self, v: np.ndarray, r: np.ndarray, _mask) -> None:
+        # v below the switch, (1 - eps)/eps (1 - v) on the plateau side
+        np.subtract(1.0, v, out=r)
+        r *= self.plateau_rate
+        np.minimum(r, v, out=r)
+
+    def _ramp(self, v: np.ndarray, r: np.ndarray, _mask) -> None:
+        np.minimum(v, 1.0, out=r)
+
+    def _density(self, v: np.ndarray, r: np.ndarray, mask: np.ndarray) -> None:
+        # [P < 1] rho, the mask kept by _switches
+        np.multiply(mask, v, out=r)
+
+    def _logistic(self, v: np.ndarray, r: np.ndarray, _mask) -> None:
+        np.subtract(1.0, v, out=r)
+        r *= v
+
+    def _switches(self, v: np.ndarray) -> None:
+        """The mask [P < 1] of every row of v, with P = dx * the suffix sums
+        of the row, and the band of each slice kept left of its switch."""
+        n, mask = self.n, self._mask
+        for j, k in enumerate(self.switch):
+            lo = j * n
+            at = None if k is None else self._locate(v[lo : lo + n], k)
+            if at is None:
+                at = self._suffix_switch(v[lo : lo + n], mask[lo : lo + n])
+            elif at != k:
+                mask[lo + min(at, k) : lo + max(at, k)] = float(at < k)
+            self.switch[j] = at
+        for j, (lo, _) in enumerate(self._spans):
+            if self._const[j] is not None:
+                at = self.switch[lo // n]
+                if at is None or at <= self._start[j]:
+                    self._widen(j, 1 if at is None else at - 1)
+
+    def _suffix_switch(self, row: np.ndarray, mask: np.ndarray) -> int | None:
+        """Write [P < 1] of one row from its sequential suffix sums into
+        mask; return the switch node, or None when the mask is not one."""
+        self.fallbacks += 1
+        np.cumsum(row[::-1], out=mask[::-1])
+        mask *= self.dx
+        np.less(mask, 1.0, out=mask)
+        k = self.n - int(np.count_nonzero(mask))
+        return k if mask[k:].all() else None
+
+    def _locate(self, row: np.ndarray, k: int) -> int | None:
+        """The switch node of a nonnegative row, k or a neighbour of it,
+        or None when tail sums cannot prove it.
+
+        Node i is the switch when dx times a tail sum from i lies below
+        1 - eta and dx times one from i - 1 at or above 1 + eta: eta
+        covers the sequential and any other summation of up to n
+        nonnegative terms and the products with dx, so the sequential
+        suffix sums switch there too.
+        """
+        dx, below = self.dx, self._below
+        tail = float(np.add.reduce(row[k:]))
+        if not dx * tail < below and k < self.n:
+            k += 1  # the crossing moved right
+            tail = float(np.add.reduce(row[k:]))
+        if not dx * tail < below:
+            return None
+        for i in (k, k - 1):
+            if i == 0:
+                return 0
+            wider = tail + float(row[i - 1])
+            if dx * wider >= self._above:
+                return i
+            if not dx * wider < below:
+                return None
+            tail = wider  # the crossing moved left
+        return None
+
+    def advance(self, pairs: tuple, times, dt: float) -> tuple[int, list | None]:
+        """Take one step of length dt from each time in times, from the v
+        of the first (v, out) pair into its out, the next from the second
+        pair's, and so on in turn, stepping only each slice's band.
+
+        Returns the number of steps taken and None, or, when a step's
+        guard tripped, the steps up to and including that one and the
+        entry of every row that step_into returns; out then holds that
+        step's rows, clipped.
+        """
+        return self._advance(pairs, times, dt, band=True)
+
+    def _banded(self, pairs) -> tuple[list, list]:
+        """The legs of the current bands over these (v, out) pairs, and the
+        (slice, first stepped node, run value) of each band."""
+        if self._stale:
+            self._views.clear()
+            self._stale = False
+        legs = []
+        for a, b in pairs:
+            key = (id(a), id(b))  # the views hold a and b, so the ids stay theirs
+            if key not in self._views:
+                self._views[key] = self._leg(a, b, self._start)
+            legs.append(self._views[key])
+        watch = [(j, lo + s, c) for j, ((lo, _), s, c)
+                 in enumerate(zip(self._spans, self._start, self._const)) if c is not None]
+        return legs, watch
+
+    def _advance(self, pairs, times, dt: float, band: bool) -> tuple[int, list | None]:
+        react, drift_at, ceiling = self._reaction, self.frame.drift, self.ceiling
+        first, second, third, last = self._edges
+        left_linear = self.model is Model.NONLOCAL_P
+        switches = None if self._mask is None else self._switches
+        # the weights of the first step; only the log-shifted frame's drift
+        # changes from step to step, so only its weights are checked again
+        times = iter(times)
+        t = next(times, None)
+        if t is None:
+            return 0, None
+        times = itertools.chain((t,), times)
+        drift = drift_at(t)
+        if self._key != (dt, drift):
+            self._reweigh(dt, drift)
+        shifting = self.frame.r != 0.0
+        watch = ()
+        if band:
+            self._find(pairs[0][0])
+            legs, watch = self._banded(pairs)
+        else:
+            legs = [self._leg(a, b, self._full) for a, b in pairs]
+        taken = 0
+        for t in times:
+            if shifting:
+                drift = drift_at(t)
+                if self._key != (dt, drift):
+                    self._reweigh(dt, drift)
+            if switches is not None:
+                switches(legs[taken % len(legs)][0])
+            if self._stale and band:
+                legs, watch = self._banded(pairs)
+            v, out, v_span, r_span, mask, rows, copies = legs[taken % len(legs)]
+            taken += 1
+            react(self, v_span, r_span, mask)
+            for (v_row, v_inner, rhs, r_row, r_inner), (wv, wr) in zip(rows, self._weights):
+                np.add(v_inner, np.correlate(v_row, wv), out=rhs)
+                if wr is None:
+                    r_inner *= dt
+                    rhs += r_inner
+                else:
+                    rhs += np.correlate(r_row, wr)
+            for skipped, held in copies:
+                skipped[...] = held
+            out[last] = 0.0
+            if left_linear:
+                out[first] = 2.0 * out[second] - out[third]  # linear-growth left asymptote
+            else:
+                out[first] = v[first]  # plateau held fixed for one step
+            # argmin and argmax find the first NaN, and an infinity fails
+            # one of the two tests
+            if not (out[out.argmin()] >= 0.0 and out[out.argmax()] <= ceiling):
+                # a guard tripped somewhere: each row in the order of a single run
+                return taken, [self._guard(row) for row in out.reshape(self.rows, self.n)]
+            for j, at, c in watch:
+                if out[at] != c:
+                    # the run lost its last node: widen by a margin, so that
+                    # a run that recedes steadily rebuilds the views rarely
+                    self._widen(j, at - self._spans[j][0] - _MARGIN)
+        return taken, None
+
+    def step_into(self, v: np.ndarray, t: float, dt: float, out: np.ndarray) -> list | None:
+        """Write the update of every node of every row of v into out.
+
+        Returns None when no row needed a guard; otherwise one entry per
+        row: the number of undershoot nodes clipped to 0, or the message
+        of the guard that failed.
+        """
+        return self._advance(((v, out),), (t,), dt, band=False)[1]
+
+    def _guard(self, row: np.ndarray) -> int | str:
+        """The guards of one row: clips undershoots within the roundoff
+        budget in place and returns their count, or the failure message."""
+        mn = float(np.minimum.reduce(row))
+        mx = float(np.maximum.reduce(row))
+        if not (math.isfinite(mn) and math.isfinite(mx)):
+            return "non-finite field value produced"
+        clips = 0
+        if mn < 0.0:
+            if mn < -1e-12:
+                return f"undershoot {mn:.3e} exceeds the roundoff budget"
+            clips = int((row < 0.0).sum())
+            np.maximum(row, 0.0, out=row)
+        if self.bounded and mx > 1.0 + 1e-12:
+            return f"overshoot {mx - 1.0:.3e} above the stable state"
+        return clips

@@ -6,19 +6,14 @@ One time step of
 
 (or the logistic reaction for the FKPP reference model) by forward Euler:
 centered second difference for diffusion, centered first differences for
-the frame drift and the flux divergence, pointwise reaction.  Written with
-the reaction field R = v - A(v), the update is two three-point stencils,
-one over v and one over R (see _Kernel); R vanishes at 0 and 1, so both
-stationary states are kept exactly.  The density model's R = [P < 1] rho
-switches at one node, which each row carries from step to step and
-confirms from one tail sum, falling back to the full suffix sum only
-when roundoff could decide it; R is bit for bit the same.  Physical
-diffusion has unit coefficient, so at desk-scale resolutions the centered
-advection keeps the update monotone (mesh Peclet number chi * Lip(A) * dx/2
-and |c| dx/2 both below 1, enforced at config validation); monotonicity is
-what the comparison and ordering tests rely on.  The frame is the front
-law s(t) = c t - r log(t + t0) used as a coordinate, with drift
-c_frame(t) = c - r/(t + t0); the lab and moving frames are its r = 0 cases.
+the frame drift and the flux divergence, pointwise reaction; the update
+itself is gogrow.kernel's.  Physical diffusion has unit coefficient, so at
+desk-scale resolutions the centered advection keeps the update monotone
+(mesh Peclet number chi * Lip(A) * dx/2 and |c| dx/2 both below 1,
+enforced at config validation); monotonicity is what the comparison and
+ordering tests rely on.  The frame is the front law s(t) = c t - r log(t + t0)
+used as a coordinate, with drift c_frame(t) = c - r/(t + t0); the lab and
+moving frames are its r = 0 cases.
 
 The sharp local flux is never differenced directly: local-model runs
 substitute the piecewise-linear regularization of width SimConfig.epsilon,
@@ -35,33 +30,21 @@ run_batch steps from event to event.  An event is a step after which
 the window is checked (every 0.25 time units), the observers are due
 (every trace_every), or the last step, the only one shortened so that
 the run ends at t_end exactly.  The steps between two events are one
-call of _Kernel.advance, a plain loop over prebuilt views of the two
-buffers, so a step pays for its numpy calls and little else.  Each step
-is checked by one global guard, out[argmin] >= 0 and out[argmax] <= a
-ceiling (1 + 1e-12 for the bounded models); argmin and argmax return the
-first NaN, and an infinity fails one of the two tests, so every value
-the per-row guards would refuse trips it.  The loop returns at the step
-that tripped it, and the per-row guards then clip or drop its rows.
+call of _Kernel.advance, which stops at a step whose guard tripped; the
+per-row guards have then clipped its rows or refused them, and
+run_batch drops the refused ones.
 """
-
 from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .kernel import Model, _Kernel
 from .profiles import ChiParams, minimal_speed, traveling_wave
-
-
-class Model(enum.Enum):
-    LOCAL_U = "local_u"
-    NONLOCAL_P = "nonlocal_p"
-    NONLOCAL_RHO = "nonlocal_rho"
-    FKPP = "fkpp"  # logistic reference: v_t = v_xx + v(1 - v), no flux
 
 
 # The most nodes a window may have: a row of this many takes 8 MB, and
@@ -471,233 +454,6 @@ def batch_key(cfg: SimConfig) -> tuple:
     )
 
 
-class _Kernel:
-    """Cached weights and scratch for the Euler update of B rows.
-
-    With lam = dt/dx^2, d = dt c_frame/2dx and m = dt chi/2dx, the update
-    of every interior node is two three-point stencils,
-
-        out = v + corr(v, [lam - d + m, -2 lam, lam + d - m])
-                + corr(R, [-m, dt, m]),
-
-    over v and over its reaction field R = v - A(v) (v(1 - v) with m = 0
-    for the FKPP reference).  R vanishes exactly at 0 and 1, and the
-    v-weights sum to well under half an ulp of 1, so both stationary
-    states are kept exactly.  The rows of B configs that share batch_key
-    lie end to end in one flat array of B*n nodes; each row runs its own
-    pair of weights, so a row of a batch is rounded exactly as its own run.
-    The weights are rebuilt only when dt or the frame drift changes, which
-    the log-shifted frame does on every step.  advance takes any number
-    of steps through views built once per pair of buffers (legs), and
-    step_into is its one-step case.
-
-    The density model's R = [P < 1] rho switches at one node of each row,
-    the first where dx times the sequential suffix sum drops below 1.
-    Rows the kernel stepped are nonnegative, so those sums are monotone
-    and that node decides the whole mask.  Each row keeps its switch node
-    from step to step and confirms it, or a neighbour, from one tail sum
-    (_locate), which refuses a row that a recentring shift moved by more
-    than a node.  When that fails, or no node is known (switch[j] is None:
-    the first step of a new kernel, or a row whose mask was not one step),
-    the row takes the full suffix sum, and fallbacks counts those rows.
-    Either way R is the same 0/1 mask times rho, bit for bit.
-    """
-
-    def __init__(self, cfgs: Sequence[SimConfig]):
-        cfg = cfgs[0]
-        self.model = cfg.model
-        self.n = n = cfg.grid.n
-        self.rows = len(cfgs)
-        self.dx = cfg.grid.dx
-        self.chi = [0.0 if self.model is Model.FKPP else c.chi_params.chi for c in cfgs]
-        eps = cfg.epsilon
-        self.plateau_rate = None if eps is None else (1.0 - eps) / eps
-        self.frame = cfg.frame
-        self.bounded = self.model in (Model.LOCAL_U, Model.FKPP)
-        # the largest value a stepped row may take without its guard
-        self.ceiling = 1.0 + 1e-12 if self.bounded else sys.float_info.max
-        # the model's reaction, unbound: a bound method kept on the kernel
-        # would make a reference cycle that only the garbage collector frees
-        self._reaction = {
-            Model.LOCAL_U: _Kernel._local,
-            Model.NONLOCAL_P: _Kernel._ramp,
-            Model.NONLOCAL_RHO: _Kernel._density,
-            Model.FKPP: _Kernel._logistic,
-        }[self.model]
-        size = self.rows * n
-        self._react = np.empty(size)
-        # the switch node of each row (None: unknown), the mask [P < 1]
-        # that matches it, and the roundoff margin that proves it
-        self.switch: list = [None] * self.rows
-        self.fallbacks = 0
-        if self.model is Model.NONLOCAL_RHO:
-            self._mask = np.empty(size)
-            eta = 4.0 * (n + 2) * 2.0**-53
-            self._below, self._above = 1.0 - eta, 1.0 + eta
-        self._key = None
-        self._weights: list = []
-        # the nodes and interior nodes of each row; rows that share chi share
-        # their weights and take one stencil over the whole array, whose
-        # values across a row boundary the edge rules then overwrite
-        span = size if len(set(self.chi)) == 1 else n
-        self._slices = [(slice(lo, lo + span), slice(lo + 1, lo + span - 1)) for lo in range(0, size, span)]
-        # nodes 0, 1, 2 and n-1 of every row; plain indices for one row,
-        # which cost less than strided views
-        self._edges = [i if self.rows == 1 else slice(i, None, n) for i in (0, 1, 2, n - 1)]
-
-    def legs(self, a: np.ndarray, b: np.ndarray) -> tuple:
-        """The views that step a into b and b into a, for advance."""
-        return self._leg(a, b), self._leg(b, a)
-
-    def _leg(self, v: np.ndarray, out: np.ndarray) -> tuple:
-        r = self._react
-        return v, out, [(v[row], v[inner], out[inner], r[row], r[inner]) for row, inner in self._slices]
-
-    def _reweigh(self, dt: float, drift: float) -> None:
-        """The (v-weights, R-weights) of every slice for this dt and drift."""
-        lam = dt / (self.dx * self.dx)
-        d = dt * drift / (2.0 * self.dx)
-        self._weights = []
-        for _, chi in zip(self._slices, self.chi):
-            m = dt * chi / (2.0 * self.dx)
-            wv = np.array([lam - d + m, -2.0 * lam, lam + d - m])
-            # with m = 0 (FKPP, chi = 0) the R-stencil is one multiply
-            self._weights.append((wv, np.array([-m, dt, m]) if m else None))
-        self._key = (dt, drift)
-
-    def _local(self, v: np.ndarray) -> None:
-        # v below the switch, (1 - eps)/eps (1 - v) on the plateau side
-        r = self._react
-        np.subtract(1.0, v, out=r)
-        r *= self.plateau_rate
-        np.minimum(r, v, out=r)
-
-    def _ramp(self, v: np.ndarray) -> None:
-        np.minimum(v, 1.0, out=self._react)
-
-    def _density(self, v: np.ndarray) -> None:
-        # [P < 1] rho with P = dx * the suffix sums of each row
-        n, mask = self.n, self._mask
-        for j, k in enumerate(self.switch):
-            lo = j * n
-            at = None if k is None else self._locate(v[lo : lo + n], k)
-            if at is None:
-                at = self._suffix_switch(v[lo : lo + n], mask[lo : lo + n])
-            elif at != k:
-                mask[lo + min(at, k) : lo + max(at, k)] = float(at < k)
-            self.switch[j] = at
-        np.multiply(mask, v, out=self._react)
-
-    def _logistic(self, v: np.ndarray) -> None:
-        r = self._react
-        np.subtract(1.0, v, out=r)
-        r *= v
-
-    def _suffix_switch(self, row: np.ndarray, mask: np.ndarray) -> int | None:
-        """Write [P < 1] of one row from its sequential suffix sums into
-        mask; return the switch node, or None when the mask is not one."""
-        self.fallbacks += 1
-        np.cumsum(row[::-1], out=mask[::-1])
-        mask *= self.dx
-        np.less(mask, 1.0, out=mask)
-        k = self.n - int(np.count_nonzero(mask))
-        return k if mask[k:].all() else None
-
-    def _locate(self, row: np.ndarray, k: int) -> int | None:
-        """The switch node of a nonnegative row, k or a neighbour of it,
-        or None when tail sums cannot prove it.
-
-        Node i is the switch when dx times a tail sum from i lies below
-        1 - eta and dx times one from i - 1 at or above 1 + eta: eta
-        covers the sequential and any other summation of up to n
-        nonnegative terms and the products with dx, so the sequential
-        suffix sums switch there too.
-        """
-        dx, below = self.dx, self._below
-        tail = float(np.add.reduce(row[k:]))
-        if not dx * tail < below and k < self.n:
-            k += 1  # the crossing moved right
-            tail = float(np.add.reduce(row[k:]))
-        if not dx * tail < below:
-            return None
-        for i in (k, k - 1):
-            if i == 0:
-                return 0
-            wider = tail + float(row[i - 1])
-            if dx * wider >= self._above:
-                return i
-            if not dx * wider < below:
-                return None
-            tail = wider  # the crossing moved left
-        return None
-
-    def advance(self, legs: tuple, times, dt: float) -> tuple[int, list | None]:
-        """Take one step of length dt from each time in times, from the
-        first leg's v into its out, the next from the second leg's, and so
-        on in turn (legs from legs(a, b)).
-
-        Returns the number of steps taken and None, or, when a step's
-        guard tripped, the steps up to and including that one and the
-        entry of every row that step_into returns; out then holds that
-        step's rows, clipped.
-        """
-        react, drift_at, ceiling = self._reaction, self.frame.drift, self.ceiling
-        first, second, third, last = self._edges
-        left_linear = self.model is Model.NONLOCAL_P
-        taken = 0
-        for t in times:
-            v, out, rows = legs[taken % len(legs)]
-            taken += 1
-            react(self, v)
-            drift = drift_at(t)
-            if self._key != (dt, drift):
-                self._reweigh(dt, drift)
-            for (v_row, v_inner, rhs, r_row, r_inner), (wv, wr) in zip(rows, self._weights):
-                np.add(v_inner, np.correlate(v_row, wv), out=rhs)
-                if wr is None:
-                    r_inner *= dt
-                    rhs += r_inner
-                else:
-                    rhs += np.correlate(r_row, wr)
-            out[last] = 0.0
-            if left_linear:
-                out[first] = 2.0 * out[second] - out[third]  # linear-growth left asymptote
-            else:
-                out[first] = v[first]  # plateau held fixed for one step
-            # argmin and argmax find the first NaN, and an infinity fails
-            # one of the two tests
-            if not (out[out.argmin()] >= 0.0 and out[out.argmax()] <= ceiling):
-                # a guard tripped somewhere: each row in the order of a single run
-                return taken, [self._guard(row) for row in out.reshape(self.rows, self.n)]
-        return taken, None
-
-    def step_into(self, v: np.ndarray, t: float, dt: float, out: np.ndarray) -> list | None:
-        """Write the update of every row of v into out.
-
-        Returns None when no row needed a guard; otherwise one entry per
-        row: the number of undershoot nodes clipped to 0, or the message
-        of the guard that failed.
-        """
-        return self.advance((self._leg(v, out),), (t,), dt)[1]
-
-    def _guard(self, row: np.ndarray) -> int | str:
-        """The guards of one row: clips undershoots within the roundoff
-        budget in place and returns their count, or the failure message."""
-        mn = float(np.minimum.reduce(row))
-        mx = float(np.maximum.reduce(row))
-        if not (math.isfinite(mn) and math.isfinite(mx)):
-            return "non-finite field value produced"
-        clips = 0
-        if mn < 0.0:
-            if mn < -1e-12:
-                return f"undershoot {mn:.3e} exceeds the roundoff budget"
-            clips = int((row < 0.0).sum())
-            np.maximum(row, 0.0, out=row)
-        if self.bounded and mx > 1.0 + 1e-12:
-            return f"overshoot {mx - 1.0:.3e} above the stable state"
-        return clips
-
-
 def step(state: SimState, cfg: SimConfig, dt: float) -> SimState:
     """One forward-Euler update; dt must respect stable_dt(cfg)."""
     if not (0.0 < dt <= stable_dt(cfg) * (1.0 + 1e-9)):
@@ -773,11 +529,7 @@ class _Batch:
         self.results: list = [None] * len(cfgs)
         self.cur = np.concatenate([s.field for s in states])
         self.nxt = np.empty_like(self.cur)
-        self._kernel(cfgs)
-
-    def _kernel(self, cfgs: Sequence[SimConfig]) -> None:
         self.kern = _Kernel(cfgs)
-        self.legs = self.kern.legs(self.cur, self.nxt)
 
     def row(self, j: int) -> np.ndarray:
         return self.cur[j * self.n : (j + 1) * self.n]
@@ -791,7 +543,7 @@ class _Batch:
         self.cur = self.cur.reshape(-1, self.n)[keep].ravel()
         self.nxt = np.empty_like(self.cur)
         if self.live:
-            self._kernel([self.cfgs[i] for i in self.live])
+            self.kern = _Kernel([self.cfgs[i] for i in self.live])
 
     def emit(self, t: float) -> None:
         failures = {}
@@ -815,10 +567,10 @@ class _Batch:
         """Take steps k0 .. k1 - 1, step k of length h from t = k dt, and
         return the last one taken: k1 - 1, or the first whose guard
         tripped, after its rows were clipped or dropped."""
-        taken, guarded = self.kern.advance(self.legs, (k * dt for k in range(k0, k1)), h)
+        pairs = ((self.cur, self.nxt), (self.nxt, self.cur))
+        taken, guarded = self.kern.advance(pairs, (k * dt for k in range(k0, k1)), h)
         if taken % 2:
             self.cur, self.nxt = self.nxt, self.cur
-            self.legs = self.legs[::-1]
         k = k0 + taken - 1
         if guarded is None:
             return k
