@@ -9,21 +9,19 @@ given `--src` directory, so two checkouts can be timed side by side:
 holds, per case, the median and quartiles of each side's per-round values
 with the machine, Python and numpy versions.
 
-Every case steps a Heaviside front in a frame moving at speed 2 with
-dx = 0.05 (n = 1601, 2041 and 3201 nodes); a batch of B = 4 holds
-chi = 0.5, 1, 2 and 0.25 side by side.  Two kinds of case are timed:
+Every case times whole `solver.run_batch` runs of RUN_STEPS steps, with
+no observer, of which the median run is kept: the stepping loop a run
+pays for.  Only `run_batch` is called, so any two checkouts that have it
+can be compared.  Two kinds of case are timed:
 
-- `step_into`: after a warm-up, blocks of `_Kernel.step_into` calls, one
-  step each, of which the median block is kept;
-- `run_batch`: whole `solver.run_batch` runs of RUN_STEPS steps, with
-  their recentring and emits but no observer, of which the median run is
-  kept.  This is the stepping loop a run pays for.
-
-A third kind, `wave`, times `run_batch` runs of RUN_STEPS steps of B = 1
-on the benchmark's `wave_refinement` shape: the closed-form traveling
-wave of each model in the frame moving at c*(chi), on the window
-[-15, 17] at dx = 0.02 and 0.01 (n = 1601 and 3201), without recentring.
-Its plateaus are what the kernel's band skips.
+- `run_batch`: a Heaviside front in a frame moving at speed 2 with
+  dx = 0.05 (n = 1601, 2041 and 3201 nodes), with its recentring and
+  emits; a batch of B = 4 holds chi = 0.5, 1, 2 and 0.25 side by side;
+- `wave`: B = 1 on the benchmark's `wave_refinement` shape, the
+  closed-form traveling wave of each model in the frame moving at
+  c*(chi), on the window [-15, 17] at dx = 0.02 and 0.01 (n = 1601 and
+  3201), without recentring.  Its plateaus are what the kernel's band
+  skips.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ MODELS = ("local_u", "nonlocal_p", "nonlocal_rho", "fkpp")
 SIZES = (1601, 2041, 3201)
 CHIS = {1: (0.5,), 4: (0.5, 1.0, 2.0, 0.25)}
 DX = 0.05
-WARMUP, BLOCK, BLOCKS = 200, 400, 7
 RUN_STEPS, RUNS = 2000, 3
 WAVE_MODELS = ("local_u", "nonlocal_p", "nonlocal_rho")
 WAVE_DX = (0.02, 0.01)
@@ -66,9 +63,7 @@ def measure(src: str) -> dict:
             for rows, chis in CHIS.items():
                 cfgs = [solver.make_config(model, chi=chi, dx=DX, x_left=-width / 2, width=width,
                                            frame=frame) for chi in chis]
-                case = f"{model} n={n} B={rows}"
-                result[f"step_into {case}"] = _step_into_us(solver, cfgs)
-                result[f"run_batch {case}"] = _run_batch_us(solver, cfgs)
+                result[f"run_batch {model} n={n} B={rows}"] = _run_batch_us(solver, cfgs)
     for model in WAVE_MODELS:
         for dx in WAVE_DX:
             for chi in WAVE_CHIS:
@@ -77,24 +72,6 @@ def measure(src: str) -> dict:
                 case = f"wave {model} n={cfg.grid.n} chi={chi}"
                 result[case] = _run_batch_us(solver, [cfg], recenter=False)
     return result
-
-
-def _step_into_us(solver, cfgs) -> float:
-    kern = solver._Kernel(cfgs)
-    cur = np.concatenate([solver.make_state(cfg).field for cfg in cfgs])
-    nxt = np.empty_like(cur)
-    dt = solver.stable_dt(cfgs[0])
-    t = 0.0
-    blocks = []
-    for b in range(BLOCKS + 1):
-        start = time.perf_counter()
-        for _ in range(WARMUP if b == 0 else BLOCK):
-            kern.step_into(cur, t, dt, nxt)
-            cur, nxt = nxt, cur
-            t += dt
-        if b:
-            blocks.append((time.perf_counter() - start) / BLOCK * 1e6)
-    return statistics.median(blocks)
 
 
 def _run_batch_us(solver, cfgs, recenter=True) -> float:
@@ -160,9 +137,8 @@ def main(argv=None) -> int:
             "after_faster_rounds": sum(a < b for a, b in zip(after, before)),
         }
     report = {
-        "what": "microseconds per step: of _Kernel.step_into calls (median block of each round) "
-                "and of whole solver.run_batch runs (median run of each round; wave: traveling "
-                "waves in their moving frame, no recentring)",
+        "what": "microseconds per step of whole solver.run_batch runs (median run of each "
+                "round; wave: traveling waves in their moving frame, no recentring)",
         "machine": {"platform": platform.platform(), "cpu": _cpu_model(), "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "numpy": np.__version__,

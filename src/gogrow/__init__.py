@@ -8,7 +8,6 @@ diagnostics, and the front-delay verification layer.
 from .lambertw import lambert_w_minus1
 from .profiles import (
     ChiParams,
-    Regime,
     RegularizationConstants,
     eta_local,
     eta_nonlocal,

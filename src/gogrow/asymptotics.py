@@ -41,8 +41,6 @@ class DelayFit:
     b: float
     stderr_r: float
     window: tuple[float, float]
-    c_used: float
-    n_samples: int
 
 
 def fit_front_delay(
@@ -81,8 +79,6 @@ def fit_front_delay(
         b=float(coef[1]),
         stderr_r=float(math.sqrt(max(cov[0, 0], 0.0))),
         window=(t_min, t_max),
-        c_used=float(c),
-        n_samples=int(t.size),
     )
 
 

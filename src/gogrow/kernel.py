@@ -1,29 +1,24 @@
 """The forward-Euler update of the rows of a batch (see solver).
 
-Written with the reaction field R = v - A(v), one step is two three-point
-stencils, one over v and one over R (see _Kernel); R vanishes at 0 and 1,
-so both stationary states are kept exactly.  The density model's
-R = [P < 1] rho switches at one node, which each row carries from step to
-step and confirms from one tail sum, falling back to the full suffix sum
-only when roundoff could decide it; R is bit for bit the same.
+A _Kernel owns the rows of the configs of one solver.run_batch: it copies
+them into one flat buffer, cur, and advance steps cur into a second
+buffer and back, leaving the last step taken in cur.  Written with the
+reaction field R = v - A(v), one step is two three-point stencils, one
+over v and one over R; R vanishes at 0 and 1, so both stationary states
+are kept exactly.  The density model's R = [P < 1] rho switches at one
+node, which each row carries from step to step and confirms from one tail
+sum, falling back to the full suffix sum only when roundoff could decide
+it; R is bit for bit the same.
 
-_Kernel.advance takes the steps between two events of solver.run_batch:
-a plain loop over prebuilt views of the two buffers, so a step pays for
-its numpy calls and little else.  Each step is checked by one global
-guard, out[argmin] >= 0 and out[argmax] <= a ceiling (1 + 1e-12 for the
-bounded models); argmin and argmax return the first NaN, and an infinity
-fails one of the two tests, so every value the per-row guards would
-refuse trips it.  The loop returns at the step that tripped it, and the
-per-row guards then clip or refuse its rows.
-
-Behind the front most nodes do not change: a row's leading run of nodes
-equal to its left value, with reaction exactly 0 (the plateau at 1 of
-local_u and fkpp, the density model's plateau left of its switch node),
-steps to itself bit for bit whenever the weights absorb the v-stencil.
-advance checks that for every set of weights and steps only a band of
-each row, from one node left of the end of that run; the skipped nodes
-are copied, so the guard still reads every node.  nonlocal_p has no such
-run, and step_into steps every node.
+advance takes the steps between two events of solver.run_batch: a plain
+loop over prebuilt views of the two buffers, so a step pays for its numpy
+calls and little else.  It steps only a band of each row, past the plateau
+behind the front that a step would leave as it is (see _Kernel).  Each
+step is checked by one global guard, out[argmin] >= 0 and out[argmax] <=
+a ceiling (1 + 1e-12 for the bounded models); argmin and argmax return the
+first NaN, and an infinity fails one of the two tests, so every value the
+per-row guards would refuse trips it.  The loop returns at the step that
+tripped it, and the per-row guards then clip or refuse its rows.
 """
 
 from __future__ import annotations
@@ -52,10 +47,12 @@ _MARGIN = 16
 
 
 class _Kernel:
-    """Cached weights and scratch for the Euler update of B rows.
+    """The rows of B configs that share batch_key, and their Euler update.
 
-    With lam = dt/dx^2, d = dt c_frame/2dx and m = dt chi/2dx, the update
-    of every interior node is two three-point stencils,
+    The rows lie end to end in cur, one flat array of B*n nodes, and
+    advance steps them in turn from cur into nxt and back.  With
+    lam = dt/dx^2, d = dt c_frame/2dx and m = dt chi/2dx, the update of
+    every interior node is two three-point stencils,
 
         out = v + corr(v, [lam - d + m, -2 lam, lam + d - m])
                 + corr(R, [-m, dt, m]),
@@ -63,14 +60,10 @@ class _Kernel:
     over v and over its reaction field R = v - A(v) (v(1 - v) with m = 0
     for the FKPP reference).  R vanishes exactly at 0 and 1, and the
     v-weights sum to well under half an ulp of 1, so both stationary
-    states are kept exactly.  The rows of B configs that share batch_key
-    lie end to end in one flat array of B*n nodes; each row runs its own
-    pair of weights, so a row of a batch is rounded exactly as its own run.
-    The weights are rebuilt only when dt or the frame drift changes, which
-    the log-shifted frame does on every step.  advance takes any number
-    of steps, in turn from one buffer into the other and back, through
-    views it builds once for each band, and step_into is its one-step
-    case.
+    states are kept exactly.  Each row runs its own pair of weights, so a
+    row of a batch is rounded exactly as its own run.  The weights are
+    rebuilt only when dt or the frame drift changes, which the
+    log-shifted frame does on every step.
 
     advance steps only a band of each slice (a row, or the first row of
     rows that share chi).  A row's leading run is its nodes equal to its
@@ -86,13 +79,12 @@ class _Kernel:
     guard still reads every node.  Each call of advance finds the band
     again (_find), but keeps the one in use while that still starts inside
     the run and fewer than _MARGIN nodes short of the new start, so that
-    the views of a band are built rarely.  Within a call the band only
-    widens (_widen): by _MARGIN nodes after a step that moved its first
-    node off c, and for the density model to below the switch node when
-    that moves into the run.  The reaction runs from the first band to the
-    end of the array.
-    nonlocal_p has no run (its P grows on the left), and step_into, which
-    writes into a caller's buffer, steps every node.
+    the views of a band, over cur into nxt and back, are built rarely.
+    Within a call the band only widens (_widen): by _MARGIN nodes after a
+    step that moved its first node off c, and for the density model to
+    below the switch node when that moves into the run.  The reaction runs
+    from the first band to the end of the array.  nonlocal_p has no run
+    (its P grows on the left), so it steps every node.
 
     The density model's R = [P < 1] rho switches at one node of each row,
     the first where dx times the sequential suffix sum drops below 1.
@@ -106,7 +98,7 @@ class _Kernel:
     Either way R is the same 0/1 mask times rho, bit for bit.
     """
 
-    def __init__(self, cfgs: Sequence[SimConfig]):
+    def __init__(self, cfgs: Sequence[SimConfig], rows: Sequence[np.ndarray]):
         cfg = cfgs[0]
         self.model = cfg.model
         self.n = n = cfg.grid.n
@@ -128,6 +120,8 @@ class _Kernel:
             Model.FKPP: _Kernel._logistic,
         }[self.model]
         size = self.rows * n
+        self.cur = np.concatenate(rows)
+        self.nxt = np.empty_like(self.cur)
         self._react = np.empty(size)
         # the switch node of each row (None: unknown), the mask [P < 1]
         # that matches it, and the roundoff margin that proves it
@@ -147,12 +141,10 @@ class _Kernel:
         self._spans = [(lo, lo + span) for lo in range(0, size, span)]
         # the band of each slice: its first stepped node (1: all of them)
         # and the value of the run left of it (None: no run is skipped);
-        # the views of the band by pair of buffers, dropped when it changes
-        self._full = [1] * len(self._spans)
-        self._start = list(self._full)
+        # its legs, cur into nxt and nxt into cur (None: built again)
+        self._start = [1] * len(self._spans)
         self._const: list = [None] * len(self._spans)
-        self._stale = False
-        self._views: dict = {}
+        self._legs: list | None = None
         # whether a run of value c rests, and whether the current weights
         # of slice j keep it, by c and by (j, c)
         self._at_rest: dict = {}
@@ -161,18 +153,18 @@ class _Kernel:
         # which cost less than strided views
         self._edges = [i if self.rows == 1 else slice(i, None, n) for i in (0, 1, 2, n - 1)]
 
-    def _leg(self, v: np.ndarray, out: np.ndarray, start: Sequence[int]) -> tuple:
+    def _leg(self, v: np.ndarray, out: np.ndarray) -> tuple:
         """v, out, the reaction's views of v, R and the mask, the stencils'
         views of each slice from its first stepped node on, and the
         skipped nodes to copy."""
         r = self._react
         rows, copies = [], []
-        for (lo, hi), s in zip(self._spans, start):
+        for (lo, hi), s in zip(self._spans, self._start):
             a = lo + s
             rows.append((v[a - 1 : hi], v[a : hi - 1], out[a : hi - 1], r[a - 1 : hi], r[a : hi - 1]))
             if s > 1:
                 copies.append((out[lo + 1 : a], v[lo + 1 : a]))
-        a = start[0] - 1
+        a = self._start[0] - 1
         if a == 0:
             return v, out, v, r, self._mask, rows, copies
         mask = None if self._mask is None else self._mask[a:]
@@ -218,12 +210,12 @@ class _Kernel:
             self._at_rest[c] = rests
         return self._at_rest[c]
 
-    def _find(self, v: np.ndarray) -> None:
+    def _find(self) -> None:
         """Set the band of each slice from the leading run of its first row
-        of v: it starts one node left of the first node past the run, or
+        of cur: it starts one node left of the first node past the run, or
         stays where it was while that is inside the run and fewer than
         _MARGIN nodes left of the new start."""
-        n = self.n
+        n, v = self.n, self.cur
         for j, (lo, _) in enumerate(self._spans):
             c = float(v[lo])
             start = 1
@@ -235,7 +227,7 @@ class _Kernel:
             band = (start, c) if start > 1 else (1, None)
             if band != (self._start[j], self._const[j]):
                 self._start[j], self._const[j] = band
-                self._stale = True
+                self._legs = None
 
     def _widen(self, j: int, start: int) -> None:
         """Step slice j from node start on, if that widens its band."""
@@ -244,7 +236,7 @@ class _Kernel:
             self._start[j] = start
             if start == 1:
                 self._const[j] = None
-            self._stale = True
+            self._legs = None
 
     def _local(self, v: np.ndarray, r: np.ndarray, _mask) -> None:
         # v below the switch, (1 - eps)/eps (1 - v) on the plateau side
@@ -319,35 +311,17 @@ class _Kernel:
             tail = wider  # the crossing moved left
         return None
 
-    def advance(self, pairs: tuple, times, dt: float) -> tuple[int, list | None]:
-        """Take one step of length dt from each time in times, from the v
-        of the first (v, out) pair into its out, the next from the second
-        pair's, and so on in turn, stepping only each slice's band.
+    def advance(self, times, dt: float) -> tuple[int, list | None]:
+        """Take one step of length dt from each time in times, in turn from
+        cur into nxt and back, stepping only each slice's band, and leave
+        the last step taken in cur.
 
         Returns the number of steps taken and None, or, when a step's
-        guard tripped, the steps up to and including that one and the
-        entry of every row that step_into returns; out then holds that
-        step's rows, clipped.
+        guard tripped, the steps up to and including that one and one
+        entry per row: the number of undershoot nodes clipped to 0, or the
+        message of the guard that failed.  cur then holds that step's
+        rows, clipped.
         """
-        return self._advance(pairs, times, dt, band=True)
-
-    def _banded(self, pairs) -> tuple[list, list]:
-        """The legs of the current bands over these (v, out) pairs, and the
-        (slice, first stepped node, run value) of each band."""
-        if self._stale:
-            self._views.clear()
-            self._stale = False
-        legs = []
-        for a, b in pairs:
-            key = (id(a), id(b))  # the views hold a and b, so the ids stay theirs
-            if key not in self._views:
-                self._views[key] = self._leg(a, b, self._start)
-            legs.append(self._views[key])
-        watch = [(j, lo + s, c) for j, ((lo, _), s, c)
-                 in enumerate(zip(self._spans, self._start, self._const)) if c is not None]
-        return legs, watch
-
-    def _advance(self, pairs, times, dt: float, band: bool) -> tuple[int, list | None]:
         react, drift_at, ceiling = self._reaction, self.frame.drift, self.ceiling
         first, second, third, last = self._edges
         left_linear = self.model is Model.NONLOCAL_P
@@ -363,23 +337,19 @@ class _Kernel:
         if self._key != (dt, drift):
             self._reweigh(dt, drift)
         shifting = self.frame.r != 0.0
-        watch = ()
-        if band:
-            self._find(pairs[0][0])
-            legs, watch = self._banded(pairs)
-        else:
-            legs = [self._leg(a, b, self._full) for a, b in pairs]
-        taken = 0
+        self._find()
+        legs, watch = self._banded()
+        taken, guarded = 0, None
         for t in times:
             if shifting:
                 drift = drift_at(t)
                 if self._key != (dt, drift):
                     self._reweigh(dt, drift)
             if switches is not None:
-                switches(legs[taken % len(legs)][0])
-            if self._stale and band:
-                legs, watch = self._banded(pairs)
-            v, out, v_span, r_span, mask, rows, copies = legs[taken % len(legs)]
+                switches(legs[taken % 2][0])
+            if self._legs is None:
+                legs, watch = self._banded()
+            v, out, v_span, r_span, mask, rows, copies = legs[taken % 2]
             taken += 1
             react(self, v_span, r_span, mask)
             for (v_row, v_inner, rhs, r_row, r_inner), (wv, wr) in zip(rows, self._weights):
@@ -400,22 +370,27 @@ class _Kernel:
             # one of the two tests
             if not (out[out.argmin()] >= 0.0 and out[out.argmax()] <= ceiling):
                 # a guard tripped somewhere: each row in the order of a single run
-                return taken, [self._guard(row) for row in out.reshape(self.rows, self.n)]
+                guarded = [self._guard(row) for row in out.reshape(self.rows, self.n)]
+                break
             for j, at, c in watch:
                 if out[at] != c:
                     # the run lost its last node: widen by a margin, so that
                     # a run that recedes steadily rebuilds the views rarely
                     self._widen(j, at - self._spans[j][0] - _MARGIN)
-        return taken, None
+        if taken % 2:
+            self.cur, self.nxt = self.nxt, self.cur
+            if self._legs is not None:
+                self._legs.reverse()
+        return taken, guarded
 
-    def step_into(self, v: np.ndarray, t: float, dt: float, out: np.ndarray) -> list | None:
-        """Write the update of every node of every row of v into out.
-
-        Returns None when no row needed a guard; otherwise one entry per
-        row: the number of undershoot nodes clipped to 0, or the message
-        of the guard that failed.
-        """
-        return self._advance(((v, out),), (t,), dt, band=False)[1]
+    def _banded(self) -> tuple[list, list]:
+        """The legs of the current bands, cur into nxt and nxt into cur,
+        and the (slice, first stepped node, run value) of each band."""
+        if self._legs is None:
+            self._legs = [self._leg(self.cur, self.nxt), self._leg(self.nxt, self.cur)]
+        watch = [(j, lo + s, c) for j, ((lo, _), s, c)
+                 in enumerate(zip(self._spans, self._start, self._const)) if c is not None]
+        return self._legs, watch
 
     def _guard(self, row: np.ndarray) -> int | str:
         """The guards of one row: clips undershoots within the roundoff

@@ -14,7 +14,6 @@ broadcast elementwise.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,12 +23,6 @@ import numpy as np
 from .lambertw import lambert_w_minus1_array
 
 
-class Regime(enum.Enum):
-    PULLED = "pulled"
-    PUSHMI_PULLYU = "pushmi-pullyu"
-    PUSHED = "pushed"
-
-
 @dataclass(frozen=True)
 class ChiParams:
     """Drift strength chi and the quantities derived from it."""
@@ -37,11 +30,10 @@ class ChiParams:
     chi: float
     chi_vee: float  # max(1, chi)
     c_star: float
-    regime: Regime
 
 
 def minimal_speed(chi: float) -> ChiParams:
-    """Minimal front speed c*(chi) and regime classification.
+    """Minimal front speed c*(chi).
 
     c* = chi + 1/chi for chi >= 1 and 2 otherwise, so c* >= 2 with equality
     exactly for chi <= 1.  The front is pushed for chi > 1, pulled for
@@ -50,14 +42,8 @@ def minimal_speed(chi: float) -> ChiParams:
     chi = float(chi)
     if not math.isfinite(chi) or chi < 0.0:
         raise ValueError(f"chi must be finite and >= 0, got {chi!r}")
-    if chi > 1.0:
-        regime = Regime.PUSHED
-    elif chi == 1.0:
-        regime = Regime.PUSHMI_PULLYU
-    else:
-        regime = Regime.PULLED
     c_star = chi + 1.0 / chi if chi >= 1.0 else 2.0
-    return ChiParams(chi=chi, chi_vee=max(1.0, chi), c_star=c_star, regime=regime)
+    return ChiParams(chi=chi, chi_vee=max(1.0, chi), c_star=c_star)
 
 
 def _return_like(s, out):

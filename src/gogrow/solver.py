@@ -22,9 +22,10 @@ comparison studies.  Every other model's flux follows from the model.
 
 Runs live on a moving spatial window that recenters itself so the front
 keeps configured margins to both edges.  Runs whose configs share
-batch_key step side by side in one flat array (run_batch); a single run
-is a batch of one.  Only the batch writes a row: observers read it
-through a read-only view.
+batch_key step side by side (run_batch) in one gogrow.kernel._Kernel,
+which owns their rows; a single run is a batch of one, and step is one
+step of a kernel of one row.  The kernel steps the rows and the batch
+recentres them: observers read a row through a read-only view.
 
 run_batch steps from event to event.  An event is a step after which
 the window is checked (every 0.25 time units), the observers are due
@@ -458,15 +459,15 @@ def step(state: SimState, cfg: SimConfig, dt: float) -> SimState:
     """One forward-Euler update; dt must respect stable_dt(cfg)."""
     if not (0.0 < dt <= stable_dt(cfg) * (1.0 + 1e-9)):
         raise ValueError(f"dt {dt!r} violates the stability bound {stable_dt(cfg)!r}")
-    out = np.empty_like(state.field)
-    guarded = _Kernel([cfg]).step_into(state.field, state.t, dt, out)
+    kern = _Kernel([cfg], [state.field])
+    guarded = kern.advance((state.t,), dt)[1]
     clips = 0 if guarded is None else guarded[0]
     if isinstance(clips, str):
         raise RuntimeError(f"step at t = {state.t:.6g} failed: {clips}")
     return SimState(
         t=state.t + dt,
         x_left=state.x_left,
-        field=out,
+        field=kern.cur,
         clip_count=state.clip_count + clips,
     )
 
@@ -515,8 +516,8 @@ Observer = Callable[[SimState, SimConfig], None]
 
 
 class _Batch:
-    """The members of a run_batch that are still running: their rows in
-    one flat buffer pair, their window origins and their clip counts."""
+    """The members of a run_batch that are still running: the kernel
+    that holds their rows, their window origins and their clip counts."""
 
     def __init__(self, cfgs: Sequence[SimConfig], observers: Sequence[Sequence[Observer]]):
         states = [make_state(cfg) for cfg in cfgs]
@@ -527,23 +528,19 @@ class _Batch:
         self.x_left = [s.x_left for s in states]
         self.clips = [0] * len(cfgs)
         self.results: list = [None] * len(cfgs)
-        self.cur = np.concatenate([s.field for s in states])
-        self.nxt = np.empty_like(self.cur)
-        self.kern = _Kernel(cfgs)
+        self.kern = _Kernel(cfgs, [s.field for s in states])
 
     def row(self, j: int) -> np.ndarray:
-        return self.cur[j * self.n : (j + 1) * self.n]
+        return self.kern.cur[j * self.n : (j + 1) * self.n]
 
     def drop(self, failures: dict) -> None:
-        """Record {row: error} and close the buffer over the rows left."""
+        """Record {row: error} and step the rows left in a new kernel."""
         for j, err in failures.items():
             self.results[self.live[j]] = err
         keep = [j for j in range(len(self.live)) if j not in failures]
         self.live = [self.live[j] for j in keep]
-        self.cur = self.cur.reshape(-1, self.n)[keep].ravel()
-        self.nxt = np.empty_like(self.cur)
         if self.live:
-            self.kern = _Kernel([self.cfgs[i] for i in self.live])
+            self.kern = _Kernel([self.cfgs[i] for i in self.live], self.kern.cur.reshape(-1, self.n)[keep])
 
     def emit(self, t: float) -> None:
         failures = {}
@@ -567,10 +564,7 @@ class _Batch:
         """Take steps k0 .. k1 - 1, step k of length h from t = k dt, and
         return the last one taken: k1 - 1, or the first whose guard
         tripped, after its rows were clipped or dropped."""
-        pairs = ((self.cur, self.nxt), (self.nxt, self.cur))
-        taken, guarded = self.kern.advance(pairs, (k * dt for k in range(k0, k1)), h)
-        if taken % 2:
-            self.cur, self.nxt = self.nxt, self.cur
+        taken, guarded = self.kern.advance((k * dt for k in range(k0, k1)), h)
         k = k0 + taken - 1
         if guarded is None:
             return k

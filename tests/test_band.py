@@ -38,9 +38,9 @@ def bands(monkeypatch):
     seen = []
     leg = solver._Kernel._leg
 
-    def spy(self, v, out, start):
-        seen.append(tuple(zip(start, self._const)))
-        return leg(self, v, out, start)
+    def spy(self, v, out):
+        seen.append(tuple(zip(self._start, self._const)))
+        return leg(self, v, out)
 
     monkeypatch.setattr(solver._Kernel, "_leg", spy)
     return seen
@@ -66,7 +66,7 @@ def _outcome(cfgs, trace_every=0.3):
 def _full_rows(monkeypatch, cfgs, **kw):
     """The outcome of the same run with every node stepped."""
     with monkeypatch.context() as m:
-        m.setattr(solver._Kernel, "_find", lambda self, v: None)
+        m.setattr(solver._Kernel, "_find", lambda self: None)
         return _outcome(cfgs, **kw)
 
 
@@ -109,7 +109,7 @@ def test_weights_that_move_the_plateau_step_full_rows(monkeypatch, bands):
     # moved, the new value may be kept); the chi = 1 row, whose weights
     # keep 1.7, is banded.
     cfgs = _cfgs("nonlocal_rho", solver.Frame.moving(2.0), (0.5, 1.0), (1.7, 1.7), cfl_sigma=0.5)
-    kern = solver._Kernel(cfgs)
+    kern = solver._Kernel(cfgs, [solver.make_state(cfg).field for cfg in cfgs])
     kern._reweigh(solver.stable_dt(cfgs[0]), 2.0)
     assert [kern._keeps(j, 1.7) for j in range(2)] == [False, True]
     banded = _outcome(cfgs)
@@ -123,14 +123,14 @@ def test_find_keeps_a_band_only_while_it_fits():
     # a band in use stays while its first stepped node is inside the run
     # and fewer than 16 nodes left of the new start; else it moves there
     cfg = solver.make_config("local_u", chi=0.5, dx=0.1, x_left=-20.0, width=30.0)
-    kern = solver._Kernel([cfg])
+    kern = solver._Kernel([cfg], [np.zeros(cfg.grid.n)])
     kern._reweigh(solver.stable_dt(cfg), 0.0)
-    v = np.zeros(cfg.grid.n)
+    v = kern.cur
     starts = []
     for run in (200, 210, 216, 215, 214, 2):
         v[:run] = 1.0
         v[run:] = 0.5
-        kern._find(v)
+        kern._find()
         starts.append(kern._start[0])
     assert starts == [199, 199, 215, 214, 213, 1]
     assert kern._const == [None]

@@ -51,10 +51,9 @@ def test_kernel_rows_equal_single_steps(model, frame, chis, seed, poison, t):
         if value is not None:
             row[i] = value
     dt = solver.stable_dt(cfgs[0])
-    v = np.concatenate(rows)
-    out = np.empty_like(v)
+    kern = solver._Kernel(cfgs, rows)
     with np.errstate(invalid="ignore"):  # inf - inf in a poisoned row
-        guarded = solver._Kernel(cfgs).step_into(v, t, dt, out)
+        _, guarded = kern.advance((t,), dt)
     for j, (cfg, row) in enumerate(zip(cfgs, rows)):
         batched = 0 if guarded is None else guarded[j]
         try:
@@ -64,4 +63,4 @@ def test_kernel_rows_equal_single_steps(model, frame, chis, seed, poison, t):
             assert str(err) == f"step at t = {t:.6g} failed: {batched}"
             continue
         assert batched == alone.clip_count
-        assert out[j * n : (j + 1) * n].tobytes() == alone.field.tobytes()
+        assert kern.cur[j * n : (j + 1) * n].tobytes() == alone.field.tobytes()

@@ -111,8 +111,8 @@ def test_events_fall_on_the_steps_of_the_per_step_rule(monkeypatch, dx, t_end, t
     recentred = []
 
     class Counting(solver._Kernel):
-        def advance(self, legs, times, dt):
-            taken, guarded = super().advance(legs, times, dt)
+        def advance(self, times, dt):
+            taken, guarded = super().advance(times, dt)
             steps[0] += taken
             return taken, guarded
 
@@ -144,14 +144,15 @@ def test_guard_trip_mid_interval_resumes_on_the_next_step(monkeypatch, bad_step)
     assert max(1, int(round(0.25 / dt))) == 125
 
     class Poisoned(solver._Kernel):
-        def advance(self, legs, times, dt):
+        def advance(self, times, dt):
             def poisoned():
-                for i, t in enumerate(times):
+                for t in times:
                     if t == bad_step * dt and self.rows == 2:
-                        legs[i % len(legs)][0][n + 40] = math.nan
+                        # the step reads one buffer and writes every node of the other
+                        self.cur[n + 40] = self.nxt[n + 40] = math.nan
                     yield t
 
-            return super().advance(legs, poisoned(), dt)
+            return super().advance(poisoned(), dt)
 
     alone = solver.run(cfgs[0], trace_every=0.5)
     monkeypatch.setattr(solver, "_Kernel", Poisoned)

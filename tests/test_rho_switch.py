@@ -25,8 +25,8 @@ def kernels(monkeypatch):
     made = []
 
     class Counting(solver._Kernel):
-        def __init__(self, cfgs):
-            super().__init__(cfgs)
+        def __init__(self, cfgs, rows):
+            super().__init__(cfgs, rows)
             made.append(self)
 
     monkeypatch.setattr(solver, "_Kernel", Counting)
@@ -149,11 +149,12 @@ def _row(*edits):
     return v
 
 
-def _kernel(rows=1):
+def _kernel(*rows):
+    """A kernel of these rows, one chi each, and its step."""
     cfgs = [solver.make_config("nonlocal_rho", chi=chi, dx=0.125, x_left=-10.0, width=30.0)
-            for chi in BATCH_CHIS[:rows]]
+            for chi in BATCH_CHIS[: len(rows)]]
     assert cfgs[0].grid.n == 241
-    return solver._Kernel(cfgs), solver.stable_dt(cfgs[0])
+    return solver._Kernel(cfgs, rows), solver.stable_dt(cfgs[0])
 
 
 # tail masses from node 200 at 1 and a few ulps above and below it: all
@@ -172,33 +173,32 @@ def test_tail_mass_at_one_is_refused(case):
     p = 0.125 * np.cumsum(v[::-1])[::-1]
     assert int(np.argmax(p < 1.0)) == switch
     assert abs(p[200] - 1.0) < 4.0 * (241 + 2) * 2.0**-53
-    kern, dt = _kernel()
-    first = np.empty_like(v)
-    kern.step_into(v, 0.0, dt, first)  # no switch known: the full sums find it
+    kern, dt = _kernel(v)
+    kern.advance((0.0,), dt)  # no switch known: the full sums find it
+    first = kern.cur.copy()
     assert (kern.fallbacks, kern.switch) == (1, [switch])
     for k in (switch - 1, switch, switch + 1):
         assert kern._locate(v, k) is None
-    again = np.empty_like(v)
-    kern.step_into(v, 0.0, dt, again)
+    kern.cur[:] = v
+    kern.advance((0.0,), dt)
     assert kern.fallbacks == 2
-    assert again.tobytes() == first.tobytes()
+    assert kern.cur.tobytes() == first.tobytes()
 
 
 def test_tail_mass_clear_of_one_is_accepted_per_row():
     # row 0 sits on the edge; the crossing of row 1 moves a node right
     # and that of row 2 a node left, each clear of 1 by 1/16
-    kern, dt = _kernel(rows=3)
-    first = np.concatenate([_row(), _row((201, 0.5)), _row((200, 1.5))])
-    second = np.concatenate([_row(), _row((200, 2.0), (201, 0.5)), _row((201, 0.5))])
-    out = np.empty_like(first)
-    kern.step_into(first, 0.0, dt, out)
+    first = [_row(), _row((201, 0.5)), _row((200, 1.5))]
+    second = [_row(), _row((200, 2.0), (201, 0.5)), _row((201, 0.5))]
+    kern, dt = _kernel(*first)
+    kern.advance((0.0,), dt)
     assert (kern.fallbacks, kern.switch) == (3, [201, 200, 201])
-    kern.step_into(second, 0.0, dt, out)
+    kern.cur[:] = np.concatenate(second)
+    kern.advance((0.0,), dt)
     assert (kern.fallbacks, kern.switch) == (4, [201, 201, 200])
-    ref_kern, _ = _kernel(rows=3)
-    ref = np.empty_like(second)
-    ref_kern.step_into(second, 0.0, dt, ref)
-    assert out.tobytes() == ref.tobytes()
+    ref, _ = _kernel(*second)
+    ref.advance((0.0,), dt)
+    assert kern.cur.tobytes() == ref.cur.tobytes()
 
 
 def test_shortcut_taken_on_a_moving_wave(kernels):

@@ -2,7 +2,8 @@
 
 One kernel step equals ((v[2:] - 2v) + v[:-2])/dx^2 - chi (A[2:] - A[:-2])/2dx
 + (v - A) + c (v[2:] - v[:-2])/2dx, times dt, plus v, to roundoff, for every
-model and frame and for batches whose rows differ in chi; the stationary
+model and frame and for batches whose rows differ in chi, from rough rows
+and from rows whose plateau the kernel's band skips; the stationary
 states 0 and 1 stay exact; a batch in a log-shifted frame, whose weights
 change every step, equals its standalone runs bit for bit; and the window
 never walks off the front.
@@ -39,6 +40,29 @@ def _random_row(model, rng, n):
     return np.clip(rng.uniform(-0.5, 1.5, n), 0.0, 1.0)
 
 
+def _plateau_row(model, rng, n):
+    """A long plateau at the left value of a rough random row, of reaction
+    0: 1 for local_u and fkpp, a density left of its switch node for
+    nonlocal_rho (nonlocal_p has no plateau)."""
+    start = int(rng.integers(n // 4, n // 2))
+    v = _random_row(model, rng, n)
+    if model == "nonlocal_rho":
+        # a mass of about 8 right of the plateau: the switch node lies past it
+        v[start : start + 80] = rng.uniform(0.0, 2.0, 80)
+        v[start + 80 :] = 0.0
+        v[:start] = rng.uniform(0.5, 2.0)
+    else:
+        v[:start] = 1.0
+    return v
+
+
+def _step(kern, v, t, dt):
+    """One kernel step from the rows v: the guards' entries, and the rows
+    after the step."""
+    kern.cur[:] = v
+    return kern.advance((t,), dt)[1], kern.cur
+
+
 def _written_out_step(v, cfg, t, dt):
     """The Euler update written term by term, with the kernel's edge rules."""
     dx = cfg.grid.dx
@@ -73,18 +97,22 @@ def test_step_matches_written_out_update(model, frame, rows):
     cfgs = _cfgs(model, frame, CHIS[rows])
     n = cfgs[0].grid.n
     dt = solver.stable_dt(cfgs[0])
-    kern = solver._Kernel(cfgs)
+    kern = solver._Kernel(cfgs, np.zeros((len(cfgs), n)))
     rng = np.random.default_rng(1234)
-    # a shortened step and several drifts exercise rebuilt weights
-    for t, step in ((0.0, dt), (3.7, dt), (3.7, dt / 3.0), (41.0, dt)):
-        v = np.concatenate([_random_row(model, rng, n) for _ in cfgs])
-        out = np.empty_like(v)
-        kern.step_into(v, t, step, out)
-        for j, cfg in enumerate(cfgs):
-            row = v[j * n : (j + 1) * n]
-            want = _written_out_step(row, cfg, t, step)
-            got = out[j * n : (j + 1) * n]
-            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(row)))
+    kinds = (_random_row,) if model == "nonlocal_p" else (_random_row, _plateau_row)
+    skipped = False
+    for make_row in kinds:
+        # a shortened step and several drifts exercise rebuilt weights
+        for t, step in ((0.0, dt), (3.7, dt), (3.7, dt / 3.0), (41.0, dt)):
+            v = np.concatenate([make_row(model, rng, n) for _ in cfgs])
+            _, out = _step(kern, v, t, step)
+            skipped = skipped or any(s > 1 for s in kern._start)
+            for j, cfg in enumerate(cfgs):
+                row = v[j * n : (j + 1) * n]
+                want = _written_out_step(row, cfg, t, step)
+                got = out[j * n : (j + 1) * n]
+                assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(row)))
+    assert skipped == (model != "nonlocal_p")  # some steps left the plateau out
 
 
 @pytest.mark.parametrize("rows", (1, 3))
@@ -93,11 +121,12 @@ def test_step_matches_written_out_update(model, frame, rows):
 def test_zero_state_is_exact(model, frame, rows):
     cfgs = _cfgs(model, frame, CHIS[rows])
     dt = solver.stable_dt(cfgs[0])
-    kern = solver._Kernel(cfgs)
     v = np.zeros(len(cfgs) * cfgs[0].grid.n)
-    out = np.full_like(v, np.nan)
+    kern = solver._Kernel(cfgs, np.split(v, len(cfgs)))
     for t, step in ((0.0, dt), (2.3, dt / 3.0)):
-        assert kern.step_into(v, t, step, out) is None
+        kern.nxt[:] = np.nan  # the step must write every node
+        guarded, out = _step(kern, v, t, step)
+        assert guarded is None
         assert out.tobytes() == v.tobytes()  # +0.0 everywhere, bit for bit
 
 
@@ -108,12 +137,12 @@ def test_one_state_is_exact(model, frame, rows):
     cfgs = _cfgs(model, frame, CHIS[rows])
     n = cfgs[0].grid.n
     dt = solver.stable_dt(cfgs[0])
-    kern = solver._Kernel(cfgs)
     v = np.ones(len(cfgs) * n)
-    out = np.empty_like(v)
+    kern = solver._Kernel(cfgs, np.split(v, len(cfgs)))
     for t in (0.0, 0.37, 2.3, 17.0, 400.0):
         for step in (dt, dt / 3.0, dt * 0.999):
-            assert kern.step_into(v, t, step, out) is None
+            guarded, out = _step(kern, v, t, step)
+            assert guarded is None
             rows_out = out.reshape(len(cfgs), n)
             assert np.all(rows_out[:, :-1] == 1.0)
             assert np.all(rows_out[:, -1] == 0.0)  # the pinned right edge
