@@ -3,16 +3,18 @@
     python3 scripts/kernel_us.py --before OLD/src --after src --rounds 10 --out BENCH.json
     python3 scripts/kernel_us.py --src src          # one measurement, JSON to stdout
 
-Each measurement runs in a fresh interpreter that imports gogrow from the
-given `--src` directory, so two checkouts can be timed side by side:
-`--before` and `--after` alternate round by round, and the output file
-holds, per case, the median and quartiles of each side's per-round values
-with the machine, Python and numpy versions.
+Every case is timed in its own fresh interpreter that imports gogrow from
+the given `--src` directory, so that its number does not depend on the
+cases timed before it, and two checkouts can be timed side by side:
+`--before` and `--after` alternate case by case, each round starting with
+the other side, and the output file holds, per case, the median and
+quartiles of each side's per-round values with the machine, Python and
+numpy versions.
 
-Every case times whole `solver.run_batch` runs of RUN_STEPS steps, with
-no observer, of which the median run is kept: the stepping loop a run
-pays for.  Only `run_batch` is called, so any two checkouts that have it
-can be compared.  Two kinds of case are timed:
+Every case times `solver.run_batch` runs over RUN_STEPS steps, with no
+observer but, in the sweep case, one that reads the clock, of which the
+median run is kept: the stepping loop a run pays for.  Only `run_batch` is called, so any two checkouts that have it
+can be compared.  Three kinds of case are timed:
 
 - `run_batch`: a Heaviside front in a frame moving at speed 2 with
   dx = 0.05 (n = 1601, 2041 and 3201 nodes), with its recentring and
@@ -21,7 +23,18 @@ can be compared.  Two kinds of case are timed:
   closed-form traveling wave of each model in the frame moving at
   c*(chi), on the window [-15, 17] at dx = 0.02 and 0.01 (n = 1601 and
   3201), without recentring.  Its plateaus are what the kernel's band
-  skips.
+  holds;
+- `sweep`: the benchmark's `pulled_fronts` batch, `local_u` at chi =
+  0.123, 0.456, 1 and 2 in the lab frame, dx = 0.05 on a window of 102
+  with pads 18/60 and recentring, advanced untimed to t = 20, when the
+  rows behind its fronts have settled, and timed over the next
+  RUN_STEPS steps.  It also reports `held`, the nodes per row that the
+  kernel left unstepped in those steps, from one more run:
+  `_Kernel.held`, or for a kernel without it the nodes left of each
+  band's first stepped node, counted at every step.
+
+`--src` alone runs every case, each in its own interpreter: 37 cases,
+about 11 s in all on a 2-core x86 host.
 """
 
 from __future__ import annotations
@@ -47,31 +60,45 @@ RUN_STEPS, RUNS = 2000, 3
 WAVE_MODELS = ("local_u", "nonlocal_p", "nonlocal_rho")
 WAVE_DX = (0.02, 0.01)
 WAVE_CHIS = (0.3, 2.0)
+SWEEP_CHIS = (0.123, 0.456, 1.0, 2.0)
+SWEEP_T = 20.0
 
 
-def measure(src: str) -> dict:
-    """µs per step of every (kind, model, n, B) case, timed with gogrow
-    from src."""
-    sys.path.insert(0, str(Path(src).resolve()))
-    from gogrow import solver
-
-    frame = solver.Frame.moving(2.0)
-    result = {}
+def cases() -> dict[str, tuple]:
+    """Every case by name, in the order they are timed, with what builds
+    its configs."""
+    found = {}
     for model in MODELS:
         for n in SIZES:
-            width = (n - 1) * DX
-            for rows, chis in CHIS.items():
-                cfgs = [solver.make_config(model, chi=chi, dx=DX, x_left=-width / 2, width=width,
-                                           frame=frame) for chi in chis]
-                result[f"run_batch {model} n={n} B={rows}"] = _run_batch_us(solver, cfgs)
+            for rows in CHIS:
+                found[f"run_batch {model} n={n} B={rows}"] = ("run_batch", model, n, CHIS[rows])
     for model in WAVE_MODELS:
         for dx in WAVE_DX:
             for chi in WAVE_CHIS:
-                cfg = solver.make_config(model, chi=chi, dx=dx, x_left=-15.0, width=32.0, frame="moving",
-                                         init="traveling_wave", left_pad=8.0, right_pad=8.0)
-                case = f"wave {model} n={cfg.grid.n} chi={chi}"
-                result[case] = _run_batch_us(solver, [cfg], recenter=False)
-    return result
+                found[f"wave {model} n={round(32.0 / dx) + 1} chi={chi}"] = ("wave", model, dx, chi)
+    found["sweep local_u n=2041 B=4"] = ("sweep", "local_u", DX, SWEEP_CHIS)
+    return found
+
+
+def measure(src: str, case: str) -> dict:
+    """The metrics of one case, timed with gogrow from src: {"us": µs per
+    step}, and for the sweep case "held" too."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    from gogrow import solver
+
+    kind, model, size, chis = cases()[case]
+    if kind == "sweep":
+        cfgs = [solver.make_config(model, chi=chi, dx=size, x_left=-30.0, width=102.0, frame=solver.Frame.lab(),
+                                   left_pad=18.0, right_pad=60.0) for chi in chis]
+        return _sweep(solver, cfgs)
+    if kind == "wave":
+        cfg = solver.make_config(model, chi=chis, dx=size, x_left=-15.0, width=32.0, frame="moving",
+                                 init="traveling_wave", left_pad=8.0, right_pad=8.0)
+        return {"us": _run_batch_us(solver, [cfg], recenter=False)}
+    width = (size - 1) * DX
+    cfgs = [solver.make_config(model, chi=chi, dx=DX, x_left=-width / 2, width=width,
+                               frame=solver.Frame.moving(2.0)) for chi in chis]
+    return {"us": _run_batch_us(solver, cfgs)}
 
 
 def _run_batch_us(solver, cfgs, recenter=True) -> float:
@@ -85,8 +112,52 @@ def _run_batch_us(solver, cfgs, recenter=True) -> float:
     return statistics.median(runs)
 
 
-def _child(src: Path) -> dict:
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--src", str(src)],
+def _sweep(solver, cfgs) -> dict:
+    """µs per step of the RUN_STEPS steps after SWEEP_T, timed from the
+    emit at SWEEP_T, and the nodes per row held in them."""
+    t_end = SWEEP_T + RUN_STEPS * solver.stable_dt(cfgs[0])
+    cfgs = [dataclasses.replace(cfg, t_end=t_end) for cfg in cfgs]
+    runs = []
+    for _ in range(RUNS):
+        marks = []
+        observers = [[lambda state, _: marks.append(time.perf_counter())]] + [[] for _ in cfgs[1:]]
+        solver.run_batch(cfgs, observers, trace_every=SWEEP_T)
+        runs.append((time.perf_counter() - marks[1]) / RUN_STEPS * 1e6)
+    return {"us": statistics.median(runs), "held": _held(solver, cfgs) / (len(cfgs) * RUN_STEPS)}
+
+
+def _held(solver, cfgs) -> int:
+    """The node-steps that the kernels of one run left unstepped after
+    SWEEP_T."""
+    base = solver._Kernel
+    made, counted, marks = [], [0], []
+
+    class Counting(base):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    local = base._local
+
+    def counting(self, v, r, mask):
+        if v.size > 3:  # a step, not a check on a few nodes
+            counted[0] += sum(self._start) - len(self._start)
+        local(self, v, r, mask)
+
+    def held() -> int:
+        return sum(k.held for k in made) if hasattr(made[0], "held") else counted[0]
+
+    base._local, solver._Kernel = counting, Counting
+    try:
+        observers = [[lambda state, _: marks.append(held())]] + [[] for _ in cfgs[1:]]
+        solver.run_batch(cfgs, observers, trace_every=SWEEP_T)
+    finally:
+        base._local, solver._Kernel = local, base
+    return held() - marks[1]
+
+
+def _child(src: Path, case: str) -> dict:
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--src", str(src), "--case", case],
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -112,43 +183,50 @@ def main(argv=None) -> int:
     ap.add_argument("--src", type=Path, help="time one checkout and print its JSON")
     ap.add_argument("--before", type=Path, help="src directory of the reference checkout")
     ap.add_argument("--after", type=Path, help="src directory of the changed checkout")
+    ap.add_argument("--case", choices=list(cases()), help="with --src: time this case alone")
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = ap.parse_args(argv)
     if args.src is not None:
-        print(json.dumps(measure(str(args.src))))
+        if args.case is not None:
+            print(json.dumps(measure(str(args.src), args.case)))
+        else:
+            print(json.dumps({case: _child(args.src, case) for case in cases()}))
         return 0
     if args.before is None or args.after is None or args.rounds < 1:
         ap.error("give --src, or --before and --after with --rounds >= 1")
 
-    runs = {"before": [], "after": []}
+    runs = {side: {case: [] for case in cases()} for side in ("before", "after")}
     for k in range(args.rounds):
-        # alternate which side goes first, so drift does not favour one
-        for side in (("before", "after") if k % 2 == 0 else ("after", "before")):
-            runs[side].append(_child(getattr(args, side)))
-            print(f"round {k + 1}/{args.rounds} {side} done", file=sys.stderr)
-    cases = {}
-    for case in runs["before"][0]:
-        before = [r[case] for r in runs["before"]]
-        after = [r[case] for r in runs["after"]]
-        cases[case] = {
-            "before_us": _summary(before),
-            "after_us": _summary(after),
-            "after_faster_rounds": sum(a < b for a, b in zip(after, before)),
-        }
+        for i, case in enumerate(cases()):
+            # alternate which side goes first, so drift does not favour one
+            for side in (("before", "after") if (k + i) % 2 == 0 else ("after", "before")):
+                runs[side][case].append(_child(getattr(args, side), case))
+        print(f"round {k + 1}/{args.rounds} done", file=sys.stderr)
+    table = {}
+    for case, before in runs["before"].items():
+        after = runs["after"][case]
+        row = {f"{side}_{metric}": _summary([r[metric] for r in rounds])
+               for metric in before[0] for side, rounds in (("before", before), ("after", after))}
+        row["after_faster_rounds"] = sum(a["us"] < b["us"] for a, b in zip(after, before))
+        table[case] = row
     report = {
         "what": "microseconds per step of whole solver.run_batch runs (median run of each "
-                "round; wave: traveling waves in their moving frame, no recentring)",
+                "round, each case in its own interpreter; wave: traveling waves in their moving "
+                "frame, no recentring; sweep: the pulled_fronts batch after t = 20, with the "
+                "nodes per row the kernel held)",
         "machine": {"platform": platform.platform(), "cpu": _cpu_model(), "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "rounds": args.rounds,
-        "cases": cases,
+        "cases": table,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    for case, row in cases.items():
+    for case, row in table.items():
+        held = f"  held {row['before_held']['median']:.0f} -> {row['after_held']['median']:.0f}" \
+            if "before_held" in row else ""
         print(f"{case:36s} {row['before_us']['median']:8.2f} -> {row['after_us']['median']:8.2f} us"
-              f"  ({row['after_faster_rounds']}/{args.rounds} faster)")
+              f"  ({row['after_faster_rounds']}/{args.rounds} faster){held}")
     return 0
 
 

@@ -12,13 +12,13 @@ it; R is bit for bit the same.
 
 advance takes the steps between two events of solver.run_batch: a plain
 loop over prebuilt views of the two buffers, so a step pays for its numpy
-calls and little else.  It steps only a band of each row, past the plateau
-behind the front that a step would leave as it is (see _Kernel).  Each
-step is checked by one global guard, out[argmin] >= 0 and out[argmax] <=
-a ceiling (1 + 1e-12 for the bounded models); argmin and argmax return the
-first NaN, and an infinity fails one of the two tests, so every value the
-per-row guards would refuse trips it.  The loop returns at the step that
-tripped it, and the per-row guards then clip or refuse its rows.
+calls and little else.  It steps only a band of each row, past the nodes
+behind the front that a step provably leaves as they are (see _Kernel).
+Each step is checked by one global guard, out[argmin] >= 0 and out[argmax]
+<= a ceiling (1 + 1e-12 for the bounded models); argmin and argmax return
+the first NaN, and an infinity fails one of the two tests, so every value
+the per-row guards would refuse trips it.  The loop returns at the step
+that tripped it, and the per-row guards then clip or refuse its rows.
 """
 
 from __future__ import annotations
@@ -42,7 +42,12 @@ class Model(enum.Enum):
     FKPP = "fkpp"  # logistic reference: v_t = v_xx + v(1 - v), no flux
 
 
-# the nodes a band widens by when its run recedes
+# the method of each model's reaction R
+_REACTIONS = {Model.LOCAL_U: "_local", Model.NONLOCAL_P: "_ramp", Model.NONLOCAL_RHO: "_density",
+              Model.FKPP: "_logistic"}
+
+# the nodes a band widens by when its first node changes, and starts short
+# of the nodes the last step left unchanged
 _MARGIN = 16
 
 
@@ -66,25 +71,42 @@ class _Kernel:
     log-shifted frame does on every step.
 
     advance steps only a band of each slice (a row, or the first row of
-    rows that share chi).  A row's leading run is its nodes equal to its
-    left value c, with 0 < c within the guard and reaction exactly 0: the
-    plateau at 1 behind a local_u or fkpp front, and the density model's
-    plateau left of its switch node.  Inside the run both stencils give
-    c + corr([c, c, c], wv) + 0, which is c bit for bit whenever the
-    current weights absorb the v-stencil; _keeps checks that for every
-    new set of weights, and a slice whose weights fail it steps in full.
-    The band starts one node left of the first node past the run: the
-    nodes left of it see only the run and would come out as they were.
-    They are copied from v instead, so out is a whole state and the
-    guard still reads every node.  Each call of advance finds the band
-    again (_find), but keeps the one in use while that still starts inside
-    the run and fewer than _MARGIN nodes short of the new start, so that
-    the views of a band, over cur into nxt and back, are built rarely.
-    Within a call the band only widens (_widen): by _MARGIN nodes after a
-    step that moved its first node off c, and for the density model to
-    below the switch node when that moves into the run.  The reaction runs
-    from the first band to the end of the array.  nonlocal_p has no run
-    (its P grows on the left), so it steps every node.
+    rows that share chi) from its first stepped node on.  The nodes left
+    of it are held: a step provably leaves them as they are, bit for bit.
+    _find sets a band from one of two proofs.
+
+    - A constant run.  The leading run of the row's left value c holds
+      when the kernel's update of [c, c, c] under the current weights,
+      computed as advance computes it with R(c) included, gives c
+      (_keeps; R is 0 left of the density model's switch node).  The band
+      starts one node left of the first node off c.  This needs nothing
+      but the weights, so it is the proof of a call's first step and the
+      only one of the log-shifted frame, whose weights change every step:
+      there it is checked again for each new set of weights.
+    - An observed stretch.  At a call's second step, when the weights are
+      those of the first, a node that the first step left unchanged, with
+      both its neighbours, has that step's inputs again and comes out the
+      same.  With f the first node that step changed (for the density
+      model no further right than its switch node, so that R was 0 at
+      both steps), the band starts _MARGIN short of f - 1, when that
+      holds more than the run.  New weights (the short last step) void it.
+
+    Either proof is kept by watching the band's first node: while a step
+    leaves it unchanged, the held nodes see the inputs they saw; when it
+    changes, the band widens by _MARGIN (_widen).  The density model's
+    band also widens to left of its switch node when that moves into it.
+    A write to the rows outside advance (a recentring shift, a guard's
+    clip, a dropped member) voids both proofs, so each call proves its
+    bands again; a band inside the run stays where it was while it is
+    fewer than _MARGIN nodes short of the new start, so that views are
+    built rarely.  Held nodes are copied from v in a call's first step
+    and then sit in both buffers, as do the two edge nodes after its
+    second, so later steps write neither; rows that share chi rewrite
+    their edges every step, as their stencil runs across row boundaries.
+    The guard still reads every node, and held counts the node-steps
+    held.  The reaction runs from the first band to the end of the array.
+    nonlocal_p has no run, and its P grows on the left, so it steps every
+    node.
 
     The density model's R = [P < 1] rho switches at one node of each row,
     the first where dx times the sequential suffix sum drops below 1.
@@ -113,12 +135,7 @@ class _Kernel:
         self.ceiling = 1.0 + 1e-12 if self.bounded else sys.float_info.max
         # the model's reaction, unbound: a bound method kept on the kernel
         # would make a reference cycle that only the garbage collector frees
-        self._reaction = {
-            Model.LOCAL_U: _Kernel._local,
-            Model.NONLOCAL_P: _Kernel._ramp,
-            Model.NONLOCAL_RHO: _Kernel._density,
-            Model.FKPP: _Kernel._logistic,
-        }[self.model]
+        self._reaction = getattr(_Kernel, _REACTIONS[self.model])
         size = self.rows * n
         self.cur = np.concatenate(rows)
         self.nxt = np.empty_like(self.cur)
@@ -140,23 +157,22 @@ class _Kernel:
         span = size if len(set(self.chi)) == 1 else n
         self._spans = [(lo, lo + span) for lo in range(0, size, span)]
         # the band of each slice: its first stepped node (1: all of them)
-        # and the value of the run left of it (None: no run is skipped);
-        # its legs, cur into nxt and nxt into cur (None: built again)
+        # and the value of the run left of it (None: no run proves it); its
+        # legs, cur into nxt and nxt into cur (None: built again); whether
+        # nxt holds a step of cur under the current weights (see _find)
         self._start = [1] * len(self._spans)
         self._const: list = [None] * len(self._spans)
         self._legs: list | None = None
-        # whether a run of value c rests, and whether the current weights
-        # of slice j keep it, by c and by (j, c)
-        self._at_rest: dict = {}
-        self._absorbed: dict = {}
+        self._witness = False
+        self.held = 0
         # nodes 0, 1, 2 and n-1 of every row; plain indices for one row,
         # which cost less than strided views
         self._edges = [i if self.rows == 1 else slice(i, None, n) for i in (0, 1, 2, n - 1)]
 
     def _leg(self, v: np.ndarray, out: np.ndarray) -> tuple:
         """v, out, the reaction's views of v, R and the mask, the stencils'
-        views of each slice from its first stepped node on, and the
-        skipped nodes to copy."""
+        views of each slice from its first stepped node on, and the held
+        nodes to copy."""
         r = self._react
         rows, copies = [], []
         for (lo, hi), s in zip(self._spans, self._start):
@@ -172,7 +188,7 @@ class _Kernel:
 
     def _reweigh(self, dt: float, drift: float) -> None:
         """The (v-weights, R-weights) of every slice for this dt and drift;
-        a band whose run these weights would move steps in full."""
+        a band that these weights do not prove steps in full."""
         lam = dt / (self.dx * self.dx)
         d = dt * drift / (2.0 * self.dx)
         self._weights = []
@@ -182,52 +198,65 @@ class _Kernel:
             # with m = 0 (FKPP, chi = 0) the R-stencil is one multiply
             self._weights.append((wv, np.array([-m, dt, m]) if m else None))
         self._key = (dt, drift)
-        self._absorbed = {}
         for j, c in enumerate(self._const):
-            if c is not None and not self._keeps(j, c):
+            # an observed stretch was proved under the old weights
+            if self._start[j] > 1 and (c is None or not self._keeps(j, c)):
                 self._widen(j, 1)
 
     def _keeps(self, j: int, c: float) -> bool:
-        """Whether the weights of slice j step a run of value c to c bit for
-        bit: v + corr(v, wv) as the stencil computes it, plus R = 0."""
-        key = (j, c)
-        if key not in self._absorbed:
-            self._absorbed[key] = c + float(np.correlate(np.full(3, c), self._weights[j][0])[0]) == c
-        return self._absorbed[key]
-
-    def _rests(self, c: float) -> bool:
-        """Whether a run of value c is at rest: positive, inside the guard,
-        and of reaction exactly 0 (the density model's switch node decides
-        that one, step by step)."""
-        if not 0.0 < c <= self.ceiling:
-            return False
-        if c not in self._at_rest:
-            rests = True
-            if self.model is not Model.NONLOCAL_RHO:
-                r = np.empty(1)
-                self._reaction(self, np.array([c]), r, None)
-                rests = bool(r[0] == 0.0)
-            self._at_rest[c] = rests
-        return self._at_rest[c]
+        """Whether slice j steps a run of value c to c bit for bit: its
+        update of [c, c, c] under the current weights, as advance computes
+        it, R(c) included (0 for the density model, left of its switch)."""
+        wv, wr = self._weights[j]
+        run, r = np.array((c, c, c)), np.zeros(3)
+        if self.model is not Model.NONLOCAL_RHO:
+            self._reaction(self, run, r, None)
+        # each + and * rounds as numpy's elementwise ones do
+        out = c + float(np.correlate(run, wv)[0])
+        out += float(r[1]) * self._key[0] if wr is None else float(np.correlate(r, wr)[0])
+        return out == c and math.copysign(1.0, out) == math.copysign(1.0, c)
 
     def _find(self) -> None:
-        """Set the band of each slice from the leading run of its first row
-        of cur: it starts one node left of the first node past the run, or
-        stays where it was while that is inside the run and fewer than
-        _MARGIN nodes left of the new start."""
-        n, v = self.n, self.cur
+        """Set the band of each slice, from its first row.
+
+        At a call's first step, from the constant run of cur: one node
+        left of the first node off its left value c when _keeps(c), or
+        where the band was while that is inside the run and fewer than
+        _MARGIN nodes short.  When nxt holds a step of cur under the
+        current weights (_witness, set for a call's second step), from
+        that step: _MARGIN short of one node left of the first node it
+        changed, or the density model's switch node, if that is further
+        right.  Node n - 1 is never held, nor any node of nonlocal_p,
+        whose P grows on the left.
+        """
+        if self.model is Model.NONLOCAL_P:
+            return
+        n, cur = self.n, self.cur.view(np.int64)  # bits: -0.0 is not 0.0
+        witness, self._witness = self._witness, False
+        nxt = self.nxt.view(np.int64) if witness else None
         for j, (lo, _) in enumerate(self._spans):
-            c = float(v[lo])
-            start = 1
-            if self._rests(c) and self._keeps(j, c):
-                # the first node off c; node n - 1 is never part of the run
-                start = (int(np.argmax(v[lo : lo + n - 1] != c)) or n - 1) - 1
-                if c == self._const[j] and start - _MARGIN < self._start[j] <= start:
-                    continue
-            band = (start, c) if start > 1 else (1, None)
-            if band != (self._start[j], self._const[j]):
-                self._start[j], self._const[j] = band
+            if witness:
+                changed = cur[lo : lo + n - 1] != nxt[lo : lo + n - 1]
+                first = int(np.argmax(changed))
+                if not changed[first]:
+                    first = n - 1
+                if self._mask is not None:
+                    at = self.switch[lo // n]
+                    first = 0 if at is None else min(first, at)
+                start = first - 1 - _MARGIN
+                if start > self._start[j]:
+                    self._start[j], self._const[j] = start, None
+                    self._legs = None
+                continue
+            c = float(self.cur[lo])
+            start = (int(np.argmax(cur[lo : lo + n - 1] != cur[lo])) or n - 1) - 1
+            if start > 1 and not self._keeps(j, c):
+                start = 1
+            if 1 < self._start[j] <= start < self._start[j] + _MARGIN:
+                start = self._start[j]
+            if start != self._start[j]:
                 self._legs = None
+            self._start[j], self._const[j] = (start, c) if start > 1 else (1, None)
 
     def _widen(self, j: int, start: int) -> None:
         """Step slice j from node start on, if that widens its band."""
@@ -268,7 +297,7 @@ class _Kernel:
                 mask[lo + min(at, k) : lo + max(at, k)] = float(at < k)
             self.switch[j] = at
         for j, (lo, _) in enumerate(self._spans):
-            if self._const[j] is not None:
+            if self._start[j] > 1:
                 at = self.switch[lo // n]
                 if at is None or at <= self._start[j]:
                     self._widen(j, 1 if at is None else at - 1)
@@ -325,6 +354,7 @@ class _Kernel:
         react, drift_at, ceiling = self._reaction, self.frame.drift, self.ceiling
         first, second, third, last = self._edges
         left_linear = self.model is Model.NONLOCAL_P
+        shared = len(self._spans) < self.rows
         switches = None if self._mask is None else self._switches
         # the weights of the first step; only the log-shifted frame's drift
         # changes from step to step, so only its weights are checked again
@@ -336,19 +366,25 @@ class _Kernel:
         drift = drift_at(t)
         if self._key != (dt, drift):
             self._reweigh(dt, drift)
-        shifting = self.frame.r != 0.0
+        key, shifting = self._key, self.frame.r != 0.0
         self._find()
-        legs, watch = self._banded()
-        taken, guarded = 0, None
+        legs, watch, holds = self._banded()
+        taken, since, guarded = 0, 0, None
         for t in times:
             if shifting:
                 drift = drift_at(t)
                 if self._key != (dt, drift):
                     self._reweigh(dt, drift)
+            if taken == 1 and self._key == key:
+                # nxt holds the first step of cur, under these weights
+                self._witness = True
+                self._find()
             if switches is not None:
                 switches(legs[taken % 2][0])
             if self._legs is None:
-                legs, watch = self._banded()
+                self.held += holds * (taken - since)
+                legs, watch, holds = self._banded()
+                since = taken
             v, out, v_span, r_span, mask, rows, copies = legs[taken % 2]
             taken += 1
             react(self, v_span, r_span, mask)
@@ -359,38 +395,43 @@ class _Kernel:
                     rhs += r_inner
                 else:
                     rhs += np.correlate(r_row, wr)
-            for skipped, held in copies:
-                skipped[...] = held
-            out[last] = 0.0
+            if taken == 1:
+                for out_held, v_held in copies:
+                    out_held[...] = v_held
+            if taken <= 2 or shared:
+                out[last] = 0.0
+                if not left_linear:
+                    out[first] = v[first]  # plateau held fixed for one step
             if left_linear:
                 out[first] = 2.0 * out[second] - out[third]  # linear-growth left asymptote
-            else:
-                out[first] = v[first]  # plateau held fixed for one step
             # argmin and argmax find the first NaN, and an infinity fails
             # one of the two tests
             if not (out[out.argmin()] >= 0.0 and out[out.argmax()] <= ceiling):
                 # a guard tripped somewhere: each row in the order of a single run
                 guarded = [self._guard(row) for row in out.reshape(self.rows, self.n)]
                 break
-            for j, at, c in watch:
-                if out[at] != c:
-                    # the run lost its last node: widen by a margin, so that
-                    # a run that recedes steadily rebuilds the views rarely
+            for j, at in watch:
+                # values, not bits: no node's step depends on the sign of a
+                # zero input, nor gives -0.0
+                if out[at] != v[at]:
+                    # the band's first node changed: widen by a margin, so
+                    # that a band that recedes steadily rebuilds views rarely
                     self._widen(j, at - self._spans[j][0] - _MARGIN)
+        self.held += holds * (taken - since)
         if taken % 2:
             self.cur, self.nxt = self.nxt, self.cur
             if self._legs is not None:
                 self._legs.reverse()
         return taken, guarded
 
-    def _banded(self) -> tuple[list, list]:
+    def _banded(self) -> tuple[list, list, int]:
         """The legs of the current bands, cur into nxt and nxt into cur,
-        and the (slice, first stepped node, run value) of each band."""
+        the (slice, first stepped node) of each band, and the nodes they
+        hold per step."""
         if self._legs is None:
             self._legs = [self._leg(self.cur, self.nxt), self._leg(self.nxt, self.cur)]
-        watch = [(j, lo + s, c) for j, ((lo, _), s, c)
-                 in enumerate(zip(self._spans, self._start, self._const)) if c is not None]
-        return self._legs, watch
+        watch = [(j, lo + s) for j, ((lo, _), s) in enumerate(zip(self._spans, self._start)) if s > 1]
+        return self._legs, watch, sum(self._start) - len(self._start)
 
     def _guard(self, row: np.ndarray) -> int | str:
         """The guards of one row: clips undershoots within the roundoff

@@ -26,3 +26,17 @@ def poison(monkeypatch):
         monkeypatch.setattr(solver._Batch, "emit", poisoned)
 
     return arm
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """Every _Kernel that solver builds while the test runs."""
+    made = []
+
+    class Counting(solver._Kernel):
+        def __init__(self, cfgs, rows):
+            super().__init__(cfgs, rows)
+            made.append(self)
+
+    monkeypatch.setattr(solver, "_Kernel", Counting)
+    return made

@@ -1,12 +1,14 @@
-"""The kernel steps only a band of each row, past the leading run of nodes
-that a step would leave as they are.  A run with the band must equal the
-same run with every node stepped, bit for bit: final fields, window
-origins, clip counts, errors and every observed state."""
+"""The kernel steps only a band of each row, past the leading nodes that a
+step provably leaves as they are: a constant run that the kernel's update
+keeps, or a stretch that the call's first step left unchanged.  A run with
+the band must equal the same run with every node stepped, bit for bit:
+final fields, window origins, clip counts, errors and every observed
+state."""
 
 import numpy as np
 import pytest
 
-from gogrow import solver
+from gogrow import kernel, solver
 
 FRAMES = {
     "lab": solver.Frame.lab(),
@@ -134,3 +136,98 @@ def test_find_keeps_a_band_only_while_it_fits():
         starts.append(kern._start[0])
     assert starts == [199, 199, 215, 214, 213, 1]
     assert kern._const == [None]
+
+
+def _runs_only(monkeypatch):
+    """Bands from constant runs alone: the call's first step never proves
+    the stretch it left unchanged."""
+    find = solver._Kernel._find
+
+    def runs(self):
+        self._witness = False
+        find(self)
+
+    monkeypatch.setattr(solver._Kernel, "_find", runs)
+
+
+def test_pulled_fronts_batch_holds_its_settled_region(monkeypatch, kernels):
+    # the pulled_fronts sweep's batch at dx = 0.1: local_u, pulled,
+    # pushmi-pullyu and pushed chi in the lab frame, recentring with pads
+    # 18/60 on a window of 102; by t = 20 the rows behind the fronts
+    # settle a few ulp below 1, where R is not 0
+    cfgs = [solver.make_config("local_u", chi=chi, dx=0.1, t_end=20.0, x_left=-30.0, width=102.0,
+                               frame=solver.Frame.lab(), left_pad=18.0, right_pad=60.0)
+            for chi in (0.123, 0.456, 1.0, 2.0)]
+    steps = []  # the nodes each step holds, counted from the bands
+    local = kernel._Kernel._local
+
+    def counted(self, v, r, mask):
+        if v.size > 3:  # a step, not _keeps on [c, c, c]
+            steps.append(sum(self._start) - len(self._start))
+        local(self, v, r, mask)
+
+    with monkeypatch.context() as m:
+        m.setattr(kernel._Kernel, "_local", counted)
+        banded = _outcome(cfgs, trace_every=0.5)
+    (kern,) = kernels
+    assert len(steps) == 10000 and kern.held == sum(steps)
+    assert banded == _full_rows(monkeypatch, cfgs, trace_every=0.5)
+    with monkeypatch.context() as m:
+        _runs_only(m)
+        _outcome(cfgs, trace_every=0.5)
+    runs = kernels[-1]
+    assert runs is not kern and kern.held > 1.5 * runs.held > 0
+
+
+def _settled_row(t_end):
+    # the pushed row of that batch at t_end: the nodes between its plateau
+    # and the front have settled, and by t = 20 recentring has brought the
+    # plateau, 8 ulp below 1, to the left edge
+    cfg = solver.make_config("local_u", chi=2.0, dx=0.1, t_end=t_end, x_left=-30.0, width=102.0,
+                             frame=solver.Frame.lab(), left_pad=18.0, right_pad=60.0)
+    return cfg, solver.run(cfg).field
+
+
+def _twins(cfgs, rows):
+    """A kernel and one that steps every node, from the same rows."""
+    full = solver._Kernel(cfgs, rows)
+    full._find = lambda: None
+    return solver._Kernel(cfgs, rows), full
+
+
+def test_shifted_rows_are_proved_again():
+    # a shift of the rows between two calls, by more than the margin, moves
+    # the stretch that the first call saw unchanged: the next call must not
+    # hold it where it was
+    cfg, row = _settled_row(10.0)
+    dt = solver.stable_dt(cfg)
+    kern, full = _twins([cfg], [row])
+    for k0, shift in ((0, 40), (100, -25), (200, 0)):
+        times = [10.0 + k * dt for k in range(k0, k0 + 100)]
+        for each in (kern, full):
+            assert each.advance(times, dt) == (100, None)
+        assert kern.cur.tobytes() == full.cur.tobytes()
+        # the band held more than the run: the first step proved it
+        assert kern._const == [None] and kern._start[0] > int(np.argmax(kern.cur != kern.cur[0]))
+        for each in (kern, full):
+            solver._shift_window(each.cur, shift, cfg.model)
+
+
+def test_log_shifted_frame_holds_a_plateau_below_one():
+    # the pushed row's plateau, 8 ulp below 1, has R(c) > 0, and the
+    # log-shifted frame's weights change every step: the kernel's update of
+    # [c, c, c] keeps c under each of them, so the run is held throughout
+    _, row = _settled_row(20.0)
+    cfg = solver.make_config("local_u", chi=2.0, dx=0.1, x_left=-30.0, width=102.0,
+                             frame=solver.Frame.log_shifted(2.5, r=1.5, t0=1.0))
+    dt = solver.stable_dt(cfg)
+    kern, full = _twins([cfg], [row])
+    c, r = 0.9999999999999982, np.empty(1)
+    kern._reaction(kern, np.array([c]), r, None)
+    assert row[0] == c and r[0] > 0.0
+    times = [20.0 + k * dt for k in range(200)]
+    for each in (kern, full):
+        assert each.advance(times, dt) == (200, None)
+    assert kern.cur.tobytes() == full.cur.tobytes()
+    run = int(np.argmax(row != c))
+    assert kern._const == [c] and kern.held >= 200 * (run - 2 - 16)

@@ -19,20 +19,6 @@ FRAMES = {
 BATCH_CHIS = (0.5, 1.0, 2.0)
 
 
-@pytest.fixture
-def kernels(monkeypatch):
-    """Every _Kernel that solver builds while the test runs."""
-    made = []
-
-    class Counting(solver._Kernel):
-        def __init__(self, cfgs, rows):
-            super().__init__(cfgs, rows)
-            made.append(self)
-
-    monkeypatch.setattr(solver, "_Kernel", Counting)
-    return made
-
-
 def _shortcut_off(monkeypatch):
     monkeypatch.setattr(solver._Kernel, "_locate", lambda self, row, k: None)
 
