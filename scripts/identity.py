@@ -12,9 +12,10 @@ directory:
 - a run of the default config for every model in every frame;
 - a `nonlocal_rho` sweep of three chi with snapshots;
 - traveling-wave runs in the frame moving at c*(chi), on the benchmark's
-  `wave_refinement` window at dx = 0.02, with snapshots: `local_u` at a
-  pulled and a pushed chi and `nonlocal_rho` at the pulled one, whose
-  plateaus the kernel's band skips;
+  `wave_refinement` window at dx = 0.02, with snapshots: `local_u` and
+  `nonlocal_p` at a pulled and a pushed chi and `nonlocal_rho` at the
+  pulled one, whose plateaus, and P's unchanged left part, the kernel's
+  band skips;
 - `gogrow wave` for every model at a pulled and a pushed chi.
 
 The two directories are then compared file by file.  The script prints
@@ -71,7 +72,8 @@ right_pad = 8
 trace_every = 0.1
 snapshot_every = 0.5
 """
-WAVE_RUNS = (("local_u", 0.081), ("local_u", 2.347), ("nonlocal_rho", 0.081))
+WAVE_RUNS = (("local_u", 0.081), ("local_u", 2.347), ("nonlocal_p", 0.081), ("nonlocal_p", 2.347),
+             ("nonlocal_rho", 0.081))
 WAVES = ((0.5, "u"), (0.5, "p"), (0.5, "rho"), (2.0, "u"), (2.0, "p"), (2.0, "rho"))
 
 

@@ -9,7 +9,11 @@ cases timed before it, and two checkouts can be timed side by side:
 `--before` and `--after` alternate case by case, each round starting with
 the other side, and the output file holds, per case, the median and
 quartiles of each side's per-round values with the machine, Python and
-numpy versions.
+numpy versions.  In round k of r, both sides' interpreters get an
+environment padded by 64 * (64 k // r) bytes (the variable KERNEL_US_PAD,
+read by nothing), which moves where their stacks and arrays fall within
+a 4,096-byte page: a case's medians then average over memory layouts
+rather than take one layout's luck.
 
 Every case times `solver.run_batch` runs over RUN_STEPS steps, with no
 observer but, in the sweep case, one that reads the clock, of which the
@@ -22,8 +26,9 @@ can be compared.  Three kinds of case are timed:
 - `wave`: B = 1 on the benchmark's `wave_refinement` shape, the
   closed-form traveling wave of each model in the frame moving at
   c*(chi), on the window [-15, 17] at dx = 0.02 and 0.01 (n = 1601 and
-  3201), without recentring.  Its plateaus are what the kernel's band
-  holds;
+  3201), without recentring.  The plateaus of `local_u` and
+  `nonlocal_rho` and the unchanged left part of `nonlocal_p` are what
+  the kernel's band holds, and the case reports `held` as below;
 - `sweep`: the benchmark's `pulled_fronts` batch, `local_u` at chi =
   0.123, 0.456, 1 and 2 in the lab frame, dx = 0.05 on a window of 102
   with pads 18/60 and recentring, advanced untimed to t = 20, when the
@@ -31,10 +36,10 @@ can be compared.  Three kinds of case are timed:
   RUN_STEPS steps.  It also reports `held`, the nodes per row that the
   kernel left unstepped in those steps, from one more run:
   `_Kernel.held`, or for a kernel without it the nodes left of each
-  band's first stepped node, counted at every step.
+  band's first stepped node, counted at every step (`local_u` only).
 
 `--src` alone runs every case, each in its own interpreter: 37 cases,
-about 11 s in all on a 2-core x86 host.
+about 12 s in all on a 2-core x86 host.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ def cases() -> dict[str, tuple]:
 
 def measure(src: str, case: str) -> dict:
     """The metrics of one case, timed with gogrow from src: {"us": µs per
-    step}, and for the sweep case "held" too."""
+    step}, and for the wave and sweep cases "held" too."""
     sys.path.insert(0, str(Path(src).resolve()))
     from gogrow import solver
 
@@ -94,7 +99,8 @@ def measure(src: str, case: str) -> dict:
     if kind == "wave":
         cfg = solver.make_config(model, chi=chis, dx=size, x_left=-15.0, width=32.0, frame="moving",
                                  init="traveling_wave", left_pad=8.0, right_pad=8.0)
-        return {"us": _run_batch_us(solver, [cfg], recenter=False)}
+        cfgs = [dataclasses.replace(cfg, t_end=RUN_STEPS * solver.stable_dt(cfg))]
+        return {"us": _run_batch_us(solver, cfgs, recenter=False), "held": _held(solver, cfgs, 0.0, recenter=False)}
     width = (size - 1) * DX
     cfgs = [solver.make_config(model, chi=chi, dx=DX, x_left=-width / 2, width=width,
                                frame=solver.Frame.moving(2.0)) for chi in chis]
@@ -123,12 +129,12 @@ def _sweep(solver, cfgs) -> dict:
         observers = [[lambda state, _: marks.append(time.perf_counter())]] + [[] for _ in cfgs[1:]]
         solver.run_batch(cfgs, observers, trace_every=SWEEP_T)
         runs.append((time.perf_counter() - marks[1]) / RUN_STEPS * 1e6)
-    return {"us": statistics.median(runs), "held": _held(solver, cfgs) / (len(cfgs) * RUN_STEPS)}
+    return {"us": statistics.median(runs), "held": _held(solver, cfgs, SWEEP_T)}
 
 
-def _held(solver, cfgs) -> int:
-    """The node-steps that the kernels of one run left unstepped after
-    SWEEP_T."""
+def _held(solver, cfgs, after: float, **run) -> float:
+    """The nodes per row and step that the kernels of one run left
+    unstepped in its RUN_STEPS steps after the time `after`."""
     base = solver._Kernel
     made, counted, marks = [], [0], []
 
@@ -149,16 +155,18 @@ def _held(solver, cfgs) -> int:
 
     base._local, solver._Kernel = counting, Counting
     try:
-        observers = [[lambda state, _: marks.append(held())]] + [[] for _ in cfgs[1:]]
-        solver.run_batch(cfgs, observers, trace_every=SWEEP_T)
+        observers = [[lambda state, _: marks.append((state.t, held()))]] + [[] for _ in cfgs[1:]]
+        solver.run_batch(cfgs, observers, trace_every=after or cfgs[0].t_end, **run)
     finally:
         base._local, solver._Kernel = local, base
-    return held() - marks[1]
+    start = next(count for t, count in marks if t >= after)
+    return (held() - start) / (len(cfgs) * RUN_STEPS)
 
 
-def _child(src: Path, case: str) -> dict:
+def _child(src: Path, case: str, pad: int) -> dict:
+    env = dict(os.environ, KERNEL_US_PAD="x" * pad)
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--src", str(src), "--case", case],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True, env=env)
     return json.loads(proc.stdout)
 
 
@@ -191,17 +199,18 @@ def main(argv=None) -> int:
         if args.case is not None:
             print(json.dumps(measure(str(args.src), args.case)))
         else:
-            print(json.dumps({case: _child(args.src, case) for case in cases()}))
+            print(json.dumps({case: _child(args.src, case, 0) for case in cases()}))
         return 0
     if args.before is None or args.after is None or args.rounds < 1:
         ap.error("give --src, or --before and --after with --rounds >= 1")
 
     runs = {side: {case: [] for case in cases()} for side in ("before", "after")}
     for k in range(args.rounds):
+        pad = 64 * (64 * k // args.rounds)  # the same layout for both sides
         for i, case in enumerate(cases()):
             # alternate which side goes first, so drift does not favour one
             for side in (("before", "after") if (k + i) % 2 == 0 else ("after", "before")):
-                runs[side][case].append(_child(getattr(args, side), case))
+                runs[side][case].append(_child(getattr(args, side), case, pad))
         print(f"round {k + 1}/{args.rounds} done", file=sys.stderr)
     table = {}
     for case, before in runs["before"].items():
@@ -212,8 +221,9 @@ def main(argv=None) -> int:
         table[case] = row
     report = {
         "what": "microseconds per step of whole solver.run_batch runs (median run of each "
-                "round, each case in its own interpreter; wave: traveling waves in their moving "
-                "frame, no recentring; sweep: the pulled_fronts batch after t = 20, with the "
+                "round, each case in its own interpreter, whose environment is padded by a length "
+                "that differs from round to round; wave: traveling waves in their moving frame, no "
+                "recentring; sweep: the pulled_fronts batch after t = 20; wave and sweep report the "
                 "nodes per row the kernel held)",
         "machine": {"platform": platform.platform(), "cpu": _cpu_model(), "cpus": os.cpu_count()},
         "python": platform.python_version(),

@@ -13,7 +13,9 @@ it; R is bit for bit the same.
 advance takes the steps between two events of solver.run_batch: a plain
 loop over prebuilt views of the two buffers, so a step pays for its numpy
 calls and little else.  It steps only a band of each row, past the nodes
-behind the front that a step provably leaves as they are (see _Kernel).
+behind the front that a step provably leaves as they are (see _Kernel):
+a plateau, a settled stretch, or the left part of a wave of P that its
+moving frame leaves unchanged.
 Each step is checked by one global guard, out[argmin] >= 0 and out[argmax]
 <= a ceiling (1 + 1e-12 for the bounded models); argmin and argmax return
 the first NaN, and an infinity fails one of the two tests, so every value
@@ -49,6 +51,9 @@ _REACTIONS = {Model.LOCAL_U: "_local", Model.NONLOCAL_P: "_ramp", Model.NONLOCAL
 # the nodes a band widens by when its first node changes, and starts short
 # of the nodes the last step left unchanged
 _MARGIN = 16
+# the steps between two proofs of an observed stretch in one call, while
+# the drift is constant and the bands have not settled
+_EVERY = 64
 
 
 class _Kernel:
@@ -90,6 +95,10 @@ class _Kernel:
       model no further right than its switch node, so that R was 0 at
       both steps), the band starts _MARGIN short of f - 1, when that
       holds more than the run.  New weights (the short last step) void it.
+      While the drift is constant, the proof is taken again every _EVERY
+      steps of the call, on the last step and its input, as long as the
+      bands have not settled: the last proof moved one, or a slice has
+      none.  Such a later proof moves a band by _MARGIN nodes or more.
 
     Either proof is kept by watching the band's first node: while a step
     leaves it unchanged, the held nodes see the inputs they saw; when it
@@ -105,8 +114,12 @@ class _Kernel:
     their edges every step, as their stencil runs across row boundaries.
     The guard still reads every node, and held counts the node-steps
     held.  The reaction runs from the first band to the end of the array.
-    nonlocal_p has no run, and its P grows on the left, so it steps every
-    node.
+    nonlocal_p has no run, so its band starts again at node 1 in each
+    call; its node 0 keeps the linear rule 2 out[1] - out[2], which gives
+    node 0 its value again while nodes 1 and 2 are held.  Its stretch
+    holds where steps leave the left part of P unchanged, in a frame
+    moving with the wave, and nowhere in the lab frame, where P grows on
+    the left.
 
     The density model's R = [P < 1] rho switches at one node of each row,
     the first where dx times the sequential suffix sum drops below 1.
@@ -163,7 +176,7 @@ class _Kernel:
         self._start = [1] * len(self._spans)
         self._const: list = [None] * len(self._spans)
         self._legs: list | None = None
-        self._witness = False
+        self._witness = 0
         self.held = 0
         # nodes 0, 1, 2 and n-1 of every row; plain indices for one row,
         # which cost less than strided views
@@ -223,17 +236,18 @@ class _Kernel:
         left of the first node off its left value c when _keeps(c), or
         where the band was while that is inside the run and fewer than
         _MARGIN nodes short.  When nxt holds a step of cur under the
-        current weights (_witness, set for a call's second step), from
-        that step: _MARGIN short of one node left of the first node it
-        changed, or the density model's switch node, if that is further
-        right.  Node n - 1 is never held, nor any node of nonlocal_p,
-        whose P grows on the left.
+        current weights (_witness, the steps taken: 1 at a call's second
+        step, then every _EVERY steps), from that step: _MARGIN short of
+        one node left of the first node it changed, or the density
+        model's switch node, if that is further right.  Node n - 1 is
+        never held.
         """
-        if self.model is Model.NONLOCAL_P:
-            return
         n, cur = self.n, self.cur.view(np.int64)  # bits: -0.0 is not 0.0
-        witness, self._witness = self._witness, False
+        witness, self._witness = self._witness, 0
         nxt = self.nxt.view(np.int64) if witness else None
+        # a later proof moves a band only by _MARGIN or more, so that views
+        # are built rarely
+        reach = 1 if witness == 1 else _MARGIN
         for j, (lo, _) in enumerate(self._spans):
             if witness:
                 changed = cur[lo : lo + n - 1] != nxt[lo : lo + n - 1]
@@ -244,13 +258,13 @@ class _Kernel:
                     at = self.switch[lo // n]
                     first = 0 if at is None else min(first, at)
                 start = first - 1 - _MARGIN
-                if start > self._start[j]:
+                if start >= self._start[j] + reach:
                     self._start[j], self._const[j] = start, None
                     self._legs = None
                 continue
             c = float(self.cur[lo])
             start = (int(np.argmax(cur[lo : lo + n - 1] != cur[lo])) or n - 1) - 1
-            if start > 1 and not self._keeps(j, c):
+            if start < 2 or not self._keeps(j, c):
                 start = 1
             if 1 < self._start[j] <= start < self._start[j] + _MARGIN:
                 start = self._start[j]
@@ -369,16 +383,21 @@ class _Kernel:
         key, shifting = self._key, self.frame.r != 0.0
         self._find()
         legs, watch, holds = self._banded()
-        taken, since, guarded = 0, 0, None
+        taken, since, guarded, proof_at = 0, 0, None, 1
         for t in times:
             if shifting:
                 drift = drift_at(t)
                 if self._key != (dt, drift):
                     self._reweigh(dt, drift)
-            if taken == 1 and self._key == key:
-                # nxt holds the first step of cur, under these weights
-                self._witness = True
+            if taken == proof_at and self._key == key:
+                # nxt holds the last step of cur, under these weights
+                starts = self._start[:]
+                self._witness = taken
                 self._find()
+                # prove again while the drift is constant and the bands have
+                # not settled: this proof moved one, or a slice has none
+                if not shifting and (self._start != starts or 1 in self._start):
+                    proof_at += _EVERY
             if switches is not None:
                 switches(legs[taken % 2][0])
             if self._legs is None:

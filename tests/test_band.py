@@ -231,3 +231,85 @@ def test_log_shifted_frame_holds_a_plateau_below_one():
     assert kern.cur.tobytes() == full.cur.tobytes()
     run = int(np.argmax(row != c))
     assert kern._const == [c] and kern.held >= 200 * (run - 2 - 16)
+
+
+def _waves(model, chis, frame="moving", t_end=0.5):
+    # the benchmark's wave_refinement window at dx = 0.02: the closed-form
+    # wave of each row, in the frame moving at c*(chi) or log-shifted from
+    # it; steps leave the left part of P's wave unchanged in its moving frame
+    return [solver.make_config(model, chi=chi, dx=0.02, t_end=t_end, x_left=-15.0, width=32.0,
+                               frame=frame, init="traveling_wave", left_pad=8.0, right_pad=8.0)
+            for chi in chis]
+
+
+@pytest.mark.parametrize("chis", [(0.3,), (2.0,), (0.0, 0.5, 1.0)])
+def test_p_wave_holds_its_unchanged_left_part(monkeypatch, kernels, chis):
+    # B = 1 at a pulled and a pushed chi, and criterion 03's batch, whose
+    # rows share c* = 2 and so the frame
+    cfgs = _waves("nonlocal_p", chis)
+    banded = _outcome(cfgs, trace_every=0.1)
+    assert sum(kern.held for kern in kernels) > 0
+    assert banded == _full_rows(monkeypatch, cfgs, trace_every=0.1)
+
+
+def test_p_in_the_lab_frame_holds_nothing(monkeypatch, kernels):
+    # P grows on the left, so no node of a lab-frame run is ever unchanged
+    cfgs = _cfgs("nonlocal_p", solver.Frame.lab(), (0.5, 1.0, 2.0), (1.0, 1.0, 1.0))
+    banded = _outcome(cfgs)
+    assert kernels and sum(kern.held for kern in kernels) == 0
+    assert banded == _full_rows(monkeypatch, cfgs)
+
+
+def test_a_row_without_a_band_proves_one_later_in_the_call(monkeypatch):
+    # the first step of a P wave moves node 0 onto its linear rule, so the
+    # call's second step proves no band; a later proof, 64 steps on, does
+    (cfg,) = _waves("nonlocal_p", (0.3,))
+    dt = solver.stable_dt(cfg)
+    kern, full = _twins([cfg], [solver.make_state(cfg).field])
+    proofs = []  # (steps taken, first stepped node) at each proof
+    find = kernel._Kernel._find
+
+    def seen(self):
+        witness = self._witness
+        find(self)
+        if witness:
+            proofs.append((witness, self._start[0]))
+
+    monkeypatch.setattr(kernel._Kernel, "_find", seen)
+    times = [k * dt for k in range(1000)]
+    for each in (kern, full):
+        assert each.advance(times, dt) == (1000, None)
+    assert kern.cur.tobytes() == full.cur.tobytes()
+    assert proofs[0] == (1, 1)
+    assert [taken for taken, _ in proofs[:3]] == [1, 65, 129] and proofs[-1][1] > 1
+    assert kern.held > 0
+
+
+def test_shifted_p_rows_are_proved_again():
+    # a shift between two calls writes new values into the stretch that the
+    # last call held, and P's left edge takes the linear extension: each
+    # call must prove its band again
+    (cfg,) = _waves("nonlocal_p", (0.3,))
+    dt = solver.stable_dt(cfg)
+    kern, full = _twins([cfg], [solver.make_state(cfg).field])
+    for k0, shift in ((0, -40), (300, 25), (600, -3), (900, 0)):
+        times = [k * dt for k in range(k0, k0 + 300)]
+        for each in (kern, full):
+            assert each.advance(times, dt) == (300, None)
+        assert kern.cur.tobytes() == full.cur.tobytes()
+        for each in (kern, full):
+            solver._shift_window(each.cur, shift, cfg.model)
+    assert kern.held > 0
+
+
+@pytest.mark.parametrize("model", ["local_u", "nonlocal_p"])
+def test_log_shifted_waves_hold_only_constant_runs(monkeypatch, bands, kernels, model):
+    # the log-shifted frame changes its weights every step, so no step
+    # repeats the inputs and weights of the one before: it proves no
+    # observed stretch, and P, which has no run, steps in full
+    cfgs = _waves(model, (0.0, 0.5, 1.0), frame="log_shifted")
+    banded = _outcome(cfgs, trace_every=0.1)
+    assert all(c is not None for slices in bands for start, c in slices if start > 1)
+    if model == "nonlocal_p":
+        assert sum(kern.held for kern in kernels) == 0
+    assert banded == _full_rows(monkeypatch, cfgs, trace_every=0.1)
