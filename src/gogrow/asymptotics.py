@@ -304,7 +304,7 @@ def check_envelopes(
     )
 
 
-def fkpp_reference(cfg: SimConfig, trace_every: float = 0.5) -> FrontTrace:
+def fkpp_reference(cfg: SimConfig, trace_every: float) -> FrontTrace:
     """Run the logistic reference v_t = v_xx + v(1 - v) on the same grid
     machinery and return its half-level front trace."""
     import dataclasses

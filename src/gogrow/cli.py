@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -29,41 +30,7 @@ from .solver import Model, SimConfig, make_config
 
 
 def _fmt(v: float) -> str:
-    if isinstance(v, float) and math.isnan(v):
-        return "nan"
     return format(v, ".12g")
-
-
-_DEFAULTS = {
-    ("model", "kind"): "local_u",
-    ("model", "chi"): 1.0,
-    ("model", "flux"): "auto",
-    ("model", "epsilon_mode"): "grid_tied",
-    ("model", "epsilon"): 2.0,
-    ("grid", "x_left"): -40.0,
-    ("grid", "dx"): 0.05,
-    ("grid", "width"): 80.0,
-    ("run", "t_end"): 50.0,
-    ("run", "cfl_sigma"): 0.4,
-    ("run", "frame"): "lab",
-    ("run", "frame_r"): 0.5,
-    ("run", "frame_t0"): 100.0,
-    ("run", "init"): "heaviside",
-    ("run", "init_file"): None,
-    ("run", "amplitude"): 1.0,
-    ("run", "left_pad"): 15.0,
-    ("run", "right_pad"): 25.0,
-    ("run", "front_theta"): 1e-6,
-    ("run", "gaussian_center"): 0.0,
-    ("run", "gaussian_width"): 1.0,
-    ("output", "trace_every"): 0.5,
-    ("output", "snapshot_every"): None,
-}
-
-# section -> its keys, sections in the order of _DEFAULTS
-_SCHEMA = {section: {k for s, k in _DEFAULTS if s == section} for section, _ in _DEFAULTS}
-# the keys that may be none, and the type of their other values
-_OPTIONAL = {("run", "init_file"): str, ("output", "snapshot_every"): float}
 
 
 @dataclass(frozen=True)
@@ -81,6 +48,34 @@ class RunConfig:
         snap = self.snapshot_every
         if snap is not None and not (snap > 0.0 and math.isfinite(snap)):
             raise ValueError("snapshot_every must be positive and finite")
+
+
+# section -> its keys; [model] kind is make_config's `model`
+_SCHEMA = {
+    "model": ("kind", "chi", "flux", "epsilon_mode", "epsilon"),
+    "grid": ("x_left", "dx", "width"),
+    "run": ("t_end", "cfl_sigma", "frame", "frame_r", "frame_t0", "init", "init_file",
+            "amplitude", "left_pad", "right_pad", "front_theta", "gaussian_center",
+            "gaussian_width"),
+    "output": ("trace_every", "snapshot_every"),
+}
+# the keys that are neither a make_config argument nor a RunConfig field
+_UNBOUND = {("model", "flux"): "auto", ("run", "init_file"): None}
+
+
+def _default(section: str, key: str):
+    """A key's default: RunConfig's for [output], make_config's for the
+    other keys but the _UNBOUND ones."""
+    if (section, key) in _UNBOUND:
+        return _UNBOUND[section, key]
+    if section == "output":
+        return getattr(RunConfig, key)
+    return inspect.signature(make_config).parameters["model" if key == "kind" else key].default
+
+
+_DEFAULTS = {(section, key): _default(section, key) for section, keys in _SCHEMA.items() for key in keys}
+# the keys that may be none, and the type of their other values
+_OPTIONAL = {("run", "init_file"): str, ("output", "snapshot_every"): float}
 
 
 def _parse_value(text: str, lineno: int):
@@ -193,9 +188,8 @@ def _build_config(values: dict) -> RunConfig:
         if table.ndim != 2 or table.shape[1] < 2:
             raise ValueError("validation error on `init_file`: need two CSV columns x,v")
         init = solver.InitPreset.file_table(table[:, 0], table[:, 1])
-    # every [model], [grid] and [run] key but these two is a make_config argument
     kw = {key: v for (section, key), v in values.items()
-          if section != "output" and key not in ("flux", "init_file")}
+          if section != "output" and (section, key) not in _UNBOUND}
     kw.update(model=kw.pop("kind"), epsilon_mode=epsilon_mode, init=init)
     try:
         sim = make_config(**kw)
@@ -219,7 +213,7 @@ def emit_config(cfg: RunConfig) -> str:
     if cfg.raw is None:
         raise ValueError("config built in code, no text form")
     out = []
-    vals = {**_DEFAULTS, **cfg.raw}
+    vals = dict(cfg.raw)
     vals[("output", "trace_every")] = cfg.trace_every
     vals[("output", "snapshot_every")] = cfg.snapshot_every
     for section in _SCHEMA:
@@ -271,14 +265,16 @@ def _open_run(cfg: RunConfig, out_dir: Path) -> tuple[TraceRecorder, list]:
     return rec, observers
 
 
-def _close_run(cfg: RunConfig, out_dir: Path, rec: TraceRecorder, final) -> int:
+def _close_run(cfg: RunConfig, out_dir: Path, rec: TraceRecorder, final) -> dict:
     """Write trace.csv and summary.json of a run that ended in the final
-    state or in a RuntimeError; return the exit status."""
+    state or in a RuntimeError; return the summary, which holds a
+    `status` only when the run aborted."""
     _flush_trace(out_dir, rec)
     if isinstance(final, RuntimeError):
-        _write_summary(out_dir, {"status": 2, "error": str(final)})
+        summary = {"status": 2, "error": str(final)}
+        _write_summary(out_dir, summary)
         print(f"runtime abort: {final}", file=sys.stderr)
-        return 2
+        return summary
 
     moments = np.asarray(rec.moment)
     finite = np.isfinite(moments)
@@ -306,7 +302,7 @@ def _close_run(cfg: RunConfig, out_dir: Path, rec: TraceRecorder, final) -> int:
         "undershoot_clips": final.clip_count,
     }
     _write_summary(out_dir, summary)
-    return 0
+    return summary
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
@@ -316,7 +312,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         final = solver.run(cfg.sim, observers=observers, trace_every=cfg.trace_every)
     except RuntimeError as err:
         final = err
-    return _close_run(cfg, out_dir, rec, final)
+    return _close_run(cfg, out_dir, rec, final).get("status", 0)
 
 
 def _write_summary(out_dir: Path, summary: dict) -> None:
@@ -355,27 +351,19 @@ def _sweep_batch(members: list[tuple[float, RunConfig, Path]]) -> list[dict]:
     ]
 
 
-def _sweep_row(chi: float, job_dir: Path, status: int) -> dict:
+def _sweep_row(chi: float, job_dir: Path, summary: dict) -> dict:
+    """A sweep_summary.csv row of a member whose run wrote job_dir and
+    summary; r is fitted to trace.csv as written."""
+    status = summary.get("status", 0)
     row = {"chi": chi, "c_star": minimal_speed(chi).c_star, "status": status}
-    trace_path = job_dir / "trace.csv"
-    r_fit = math.nan
-    drift = math.nan
-    if trace_path.exists():
-        t, x = _read_trace(trace_path)
-        try:
-            fit = asymptotics.fit_front_delay(
-                FrontTrace(t=t, x_front=x), minimal_speed(chi).c_star
-            )
-            r_fit = fit.r
-        except ValueError:
-            pass
-        summary_path = job_dir / "summary.json"
-        if summary_path.exists():
-            with open(summary_path) as fh:
-                drift = json.load(fh).get("moment_drift", math.nan)
+    t, x = _read_trace(job_dir / "trace.csv")
+    try:
+        r_fit = asymptotics.fit_front_delay(FrontTrace(t=t, x_front=x), row["c_star"]).r
+    except ValueError:
+        r_fit = math.nan
     row["r_fit"] = r_fit
     row["r_theory"] = asymptotics.theoretical_delay(chi)
-    row["moment_drift"] = drift
+    row["moment_drift"] = summary.get("moment_drift", math.nan)
     fit_ok = not math.isnan(r_fit) and abs(r_fit - row["r_theory"]) <= 0.25
     row["pass"] = 1.0 if (status == 0 and fit_ok) else 0.0
     return row

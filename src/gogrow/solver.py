@@ -257,12 +257,12 @@ def make_config(
     frame: str | Frame = "lab",
     init: str | InitPreset = "heaviside",
     amplitude: float = 1.0,
-    cfl_sigma: float = 0.4,
+    cfl_sigma: float = SimConfig.cfl_sigma,
     epsilon_mode: str = "grid_tied",
     epsilon: float = 2.0,
-    left_pad: float = 15.0,
-    right_pad: float = 25.0,
-    front_theta: float = 1e-6,
+    left_pad: float = WindowPolicy.left_pad,
+    right_pad: float = WindowPolicy.right_pad,
+    front_theta: float = SimConfig.front_theta,
     frame_r: float = 0.5,
     frame_t0: float = 100.0,
     gaussian_center: float = 0.0,

@@ -127,6 +127,25 @@ def test_make_state_traveling_wave_p():
     assert np.allclose(st.field, traveling_wave("p", 2.0, cfg.grid.nodes()))
 
 
+@pytest.mark.parametrize("model", ["local_u", "nonlocal_rho", "nonlocal_p"])
+def test_make_state_gaussian_bump(model):
+    cfg = make_config(model=model, chi=0.5, dx=0.1, t_end=1.0, x_left=-20.0, width=40.0,
+                      init="gaussian_bump", amplitude=0.8, gaussian_center=-2.0,
+                      gaussian_width=1.5)
+    x = cfg.grid.nodes()
+    bump = 0.8 * np.exp(-((x + 2.0) ** 2) / (2.0 * 1.5**2))
+    # the P model starts from the bump's mass to the right
+    expect = cumulative_mass(bump, 0.1) if model == "nonlocal_p" else bump
+    assert np.array_equal(make_state(cfg).field, expect)
+
+
+def test_make_state_gaussian_bump_above_one_refused_for_local_u():
+    cfg = make_config(model="local_u", chi=0.5, dx=0.1, t_end=1.0, x_left=-20.0, width=40.0,
+                      init="gaussian_bump", amplitude=1.5)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        make_state(cfg)
+
+
 def test_make_state_file_table_validation():
     x = np.linspace(-15.0, 15.0, 31)
     bad_p = np.where(x <= 0.0, -x + 1.0, 0.0)
@@ -299,6 +318,24 @@ def test_window_recenter_preserves_moment():
     assert final.x_left > -30.0  # the window did move
     m = np.asarray(rec.moment)
     assert np.max(np.abs(m - m[0])) <= 2e-3 * m[0]
+
+
+def test_window_recenter_drops_only_tail_mass():
+    # the run above against the same run on a window wide enough never to
+    # move: the scheme's own moment drift cancels, and what is left is the
+    # tail mass the shifts dropped (1.7e-10 I0 when written)
+    kw = dict(model="nonlocal_rho", chi=2.0, dx=0.05, t_end=6.0, x_left=-30.0,
+              left_pad=20.0, right_pad=18.0)
+    moments, lefts = [], []
+    for width, recenter in ((60.0, True), (90.0, False)):
+        rec = TraceRecorder(collect_defect=False, collect_rh=False)
+        lefts.append(run(make_config(width=width, **kw), observers=[rec], trace_every=0.5,
+                         recenter=recenter).x_left)
+        moments.append(np.asarray(rec.moment))
+    assert lefts[0] > -30.0 and lefts[1] == -30.0
+    recentred, wide = moments
+    assert len(recentred) == len(wide) == 13
+    assert np.max(np.abs(recentred - wide)) <= 1e-8 * recentred[0]
 
 
 def test_log_shifted_frame_consistency():
