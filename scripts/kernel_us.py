@@ -1,4 +1,5 @@
-"""Microseconds per Euler step, per model, grid size and batch.
+"""Microseconds per Euler step and per unit of simulated time, per model,
+grid size and batch.
 
     python3 scripts/kernel_us.py --before OLD/src --after src --rounds 10 --out BENCH.json
     python3 scripts/kernel_us.py --src src          # one measurement, JSON to stdout
@@ -17,8 +18,11 @@ rather than take one layout's luck.
 
 Every case times `solver.run_batch` runs over RUN_STEPS steps, with no
 observer but, in the sweep case, one that reads the clock, of which the
-median run is kept: the stepping loop a run pays for.  Only `run_batch` is called, so any two checkouts that have it
-can be compared.  Three kinds of case are timed:
+median run is kept: the stepping loop a run pays for.  Each case reports
+`us`, µs per step, and `us_per_t`, µs per unit of simulated time: `us`
+divided by the case's `stable_dt`.  A change of the step size shows only
+in the second.  Only `run_batch` is called, so any two checkouts that
+have it can be compared.  Three kinds of case are timed:
 
 - `run_batch`: a Heaviside front in a frame moving at speed 2 with
   dx = 0.05 (n = 1601, 2041 and 3201 nodes), with its recentring and
@@ -87,7 +91,8 @@ def cases() -> dict[str, tuple]:
 
 def measure(src: str, case: str) -> dict:
     """The metrics of one case, timed with gogrow from src: {"us": µs per
-    step}, and for the wave and sweep cases "held" too."""
+    step, "us_per_t": µs per unit of simulated time}, and for the wave and
+    sweep cases "held" too."""
     sys.path.insert(0, str(Path(src).resolve()))
     from gogrow import solver
 
@@ -95,16 +100,19 @@ def measure(src: str, case: str) -> dict:
     if kind == "sweep":
         cfgs = [solver.make_config(model, chi=chi, dx=size, x_left=-30.0, width=102.0, frame=solver.Frame.lab(),
                                    left_pad=18.0, right_pad=60.0) for chi in chis]
-        return _sweep(solver, cfgs)
-    if kind == "wave":
+        out = _sweep(solver, cfgs)
+    elif kind == "wave":
         cfg = solver.make_config(model, chi=chis, dx=size, x_left=-15.0, width=32.0, frame="moving",
                                  init="traveling_wave", left_pad=8.0, right_pad=8.0)
         cfgs = [dataclasses.replace(cfg, t_end=RUN_STEPS * solver.stable_dt(cfg))]
-        return {"us": _run_batch_us(solver, cfgs, recenter=False), "held": _held(solver, cfgs, 0.0, recenter=False)}
-    width = (size - 1) * DX
-    cfgs = [solver.make_config(model, chi=chi, dx=DX, x_left=-width / 2, width=width,
-                               frame=solver.Frame.moving(2.0)) for chi in chis]
-    return {"us": _run_batch_us(solver, cfgs)}
+        out = {"us": _run_batch_us(solver, cfgs, recenter=False), "held": _held(solver, cfgs, 0.0, recenter=False)}
+    else:
+        width = (size - 1) * DX
+        cfgs = [solver.make_config(model, chi=chi, dx=DX, x_left=-width / 2, width=width,
+                                   frame=solver.Frame.moving(2.0)) for chi in chis]
+        out = {"us": _run_batch_us(solver, cfgs)}
+    out["us_per_t"] = out["us"] / solver.stable_dt(cfgs[0])
+    return out
 
 
 def _run_batch_us(solver, cfgs, recenter=True) -> float:
@@ -218,11 +226,13 @@ def main(argv=None) -> int:
         row = {f"{side}_{metric}": _summary([r[metric] for r in rounds])
                for metric in before[0] for side, rounds in (("before", before), ("after", after))}
         row["after_faster_rounds"] = sum(a["us"] < b["us"] for a, b in zip(after, before))
+        row["after_faster_per_t_rounds"] = sum(a["us_per_t"] < b["us_per_t"] for a, b in zip(after, before))
         table[case] = row
     report = {
-        "what": "microseconds per step of whole solver.run_batch runs (median run of each "
-                "round, each case in its own interpreter, whose environment is padded by a length "
-                "that differs from round to round; wave: traveling waves in their moving frame, no "
+        "what": "microseconds per step (us) and per unit of simulated time (us_per_t: us / "
+                "stable_dt) of whole solver.run_batch runs (median run of each round, each case "
+                "in its own interpreter, whose environment is padded by a length that differs "
+                "from round to round; wave: traveling waves in their moving frame, no "
                 "recentring; sweep: the pulled_fronts batch after t = 20; wave and sweep report the "
                 "nodes per row the kernel held)",
         "machine": {"platform": platform.platform(), "cpu": _cpu_model(), "cpus": os.cpu_count()},
@@ -236,7 +246,9 @@ def main(argv=None) -> int:
         held = f"  held {row['before_held']['median']:.0f} -> {row['after_held']['median']:.0f}" \
             if "before_held" in row else ""
         print(f"{case:36s} {row['before_us']['median']:8.2f} -> {row['after_us']['median']:8.2f} us"
-              f"  ({row['after_faster_rounds']}/{args.rounds} faster){held}")
+              f"  ({row['after_faster_rounds']}/{args.rounds} faster)"
+              f"  {row['before_us_per_t']['median']:9.0f} -> {row['after_us_per_t']['median']:9.0f} us per t"
+              f"  ({row['after_faster_per_t_rounds']}/{args.rounds} faster){held}")
     return 0
 
 

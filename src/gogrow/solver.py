@@ -203,7 +203,7 @@ class SimConfig:
     frame: Frame
     init: InitPreset
     t_end: float
-    cfl_sigma: float = 0.4
+    cfl_sigma: float = 0.6
     epsilon: float | None = None
     window: WindowPolicy = WindowPolicy()
     front_theta: float = 1e-6
@@ -664,12 +664,13 @@ def run(
 ) -> SimState:
     """Advance from the initial preset to t_end with the stable step.
 
-    Observers are invoked at t = 0, at every multiple of trace_every, and
-    at the final time, with a SimState whose field is a read-only view of
-    the live row: they read the run and cannot change it, and one that
-    raises RuntimeError ends the run with it.  The window recenters so the
-    front keeps the configured pads; newly exposed cells are filled with
-    the boundary rule of the model.
+    Observers are invoked at t = 0, at the first step at or past each
+    multiple of trace_every (the multiple itself only where dt divides
+    it), and at the final time, with a SimState whose field is a
+    read-only view of the live row: they read the run and cannot change
+    it, and one that raises RuntimeError ends the run with it.  The
+    window recenters so the front keeps the configured pads; newly
+    exposed cells are filled with the boundary rule of the model.
     """
     (final,) = run_batch([cfg], [observers], trace_every, recenter)
     if isinstance(final, RuntimeError):

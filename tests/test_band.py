@@ -5,6 +5,8 @@ the band must equal the same run with every node stepped, bit for bit:
 final fields, window origins, clip counts, errors and every observed
 state."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -150,14 +152,18 @@ def _runs_only(monkeypatch):
     monkeypatch.setattr(solver._Kernel, "_find", runs)
 
 
-def test_pulled_fronts_batch_holds_its_settled_region(monkeypatch, kernels):
+def _pulled_fronts_batch(**kw):
     # the pulled_fronts sweep's batch at dx = 0.1: local_u, pulled,
     # pushmi-pullyu and pushed chi in the lab frame, recentring with pads
-    # 18/60 on a window of 102; by t = 20 the rows behind the fronts
-    # settle a few ulp below 1, where R is not 0
-    cfgs = [solver.make_config("local_u", chi=chi, dx=0.1, t_end=20.0, x_left=-30.0, width=102.0,
-                               frame=solver.Frame.lab(), left_pad=18.0, right_pad=60.0)
+    # 18/60 on a window of 102
+    return [solver.make_config("local_u", chi=chi, dx=0.1, t_end=20.0, x_left=-30.0, width=102.0,
+                               frame=solver.Frame.lab(), left_pad=18.0, right_pad=60.0, **kw)
             for chi in (0.123, 0.456, 1.0, 2.0)]
+
+
+def _banded_steps(monkeypatch, kernels, cfgs):
+    """The run's outcome, checked against full rows, and its kernel, whose
+    held count is checked against the nodes each step holds."""
     steps = []  # the nodes each step holds, counted from the bands
     local = kernel._Kernel._local
 
@@ -170,8 +176,16 @@ def test_pulled_fronts_batch_holds_its_settled_region(monkeypatch, kernels):
         m.setattr(kernel._Kernel, "_local", counted)
         banded = _outcome(cfgs, trace_every=0.5)
     (kern,) = kernels
-    assert len(steps) == 10000 and kern.held == sum(steps)
+    assert len(steps) == math.ceil(cfgs[0].t_end / solver.stable_dt(cfgs[0])) and kern.held == sum(steps)
     assert banded == _full_rows(monkeypatch, cfgs, trace_every=0.5)
+    return banded, kern
+
+
+def test_pulled_fronts_batch_holds_its_settled_region(monkeypatch, kernels):
+    # at cfl_sigma = 0.4, by t = 20 the rows behind the fronts settle a few
+    # ulp below 1, where R is not 0
+    cfgs = _pulled_fronts_batch(cfl_sigma=0.4)
+    _, kern = _banded_steps(monkeypatch, kernels, cfgs)
     with monkeypatch.context() as m:
         _runs_only(m)
         _outcome(cfgs, trace_every=0.5)
@@ -179,12 +193,21 @@ def test_pulled_fronts_batch_holds_its_settled_region(monkeypatch, kernels):
     assert runs is not kern and kern.held > 1.5 * runs.held > 0
 
 
+def test_pulled_fronts_batch_at_the_default_step(monkeypatch, kernels):
+    # at the default step the pushed row's plateau settles at exactly 1,
+    # which the kernel's update keeps, so constant runs hold most of it
+    banded, kern = _banded_steps(monkeypatch, kernels, _pulled_fronts_batch())
+    row = np.frombuffer(banded[-1][0][3])
+    assert row[0] == 1.0 and kern.held > 0
+
+
 def _settled_row(t_end):
-    # the pushed row of that batch at t_end: the nodes between its plateau
-    # and the front have settled, and by t = 20 recentring has brought the
-    # plateau, 8 ulp below 1, to the left edge
+    # the pushed row of that batch at t_end, stepped at cfl_sigma = 0.4: the
+    # nodes between its plateau and the front have settled, and by t = 20
+    # recentring has brought the plateau, 8 ulp below 1, to the left edge;
+    # the ulp count is a roundoff value of that step
     cfg = solver.make_config("local_u", chi=2.0, dx=0.1, t_end=t_end, x_left=-30.0, width=102.0,
-                             frame=solver.Frame.lab(), left_pad=18.0, right_pad=60.0)
+                             frame=solver.Frame.lab(), left_pad=18.0, right_pad=60.0, cfl_sigma=0.4)
     return cfg, solver.run(cfg).field
 
 
@@ -219,7 +242,7 @@ def test_log_shifted_frame_holds_a_plateau_below_one():
     # [c, c, c] keeps c under each of them, so the run is held throughout
     _, row = _settled_row(20.0)
     cfg = solver.make_config("local_u", chi=2.0, dx=0.1, x_left=-30.0, width=102.0,
-                             frame=solver.Frame.log_shifted(2.5, r=1.5, t0=1.0))
+                             frame=solver.Frame.log_shifted(2.5, r=1.5, t0=1.0), cfl_sigma=0.4)
     dt = solver.stable_dt(cfg)
     kern, full = _twins([cfg], [row])
     c, r = 0.9999999999999982, np.empty(1)

@@ -23,7 +23,7 @@ t_end = 2.0
 
 def test_parse_minimal_defaults():
     cfg = parse_config(MINIMAL)
-    assert cfg.sim.cfl_sigma == 0.4
+    assert cfg.sim.cfl_sigma == 0.6
     assert cfg.sim.frame == Frame.lab()
     assert cfg.sim.init.kind.value == "heaviside"
     assert cfg.sim.t_end == 2.0

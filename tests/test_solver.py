@@ -70,12 +70,12 @@ def test_frame_formulas_are_exact(t):
 
 def test_stable_dt_examples():
     cfg = make_config(model="nonlocal_p", chi=1.0, dx=0.05, t_end=1.0)
-    assert stable_dt(cfg) == pytest.approx(0.4 * min(0.05**2 / 2, 0.05 / 1.0, 0.5))
-    assert stable_dt(cfg) == pytest.approx(5e-4)
+    assert stable_dt(cfg) == pytest.approx(0.6 * min(0.05**2 / 2, 0.05 / 1.0, 0.5))
+    assert stable_dt(cfg) == pytest.approx(7.5e-4)
     # grid-tied epsilon = 2 dx: advection bound eps*dx = 5e-3 >= dx^2/2
     cfg2 = make_config(model="local_u", chi=1.0, dx=0.05, t_end=1.0)
     assert cfg2.epsilon == pytest.approx(0.1)
-    assert stable_dt(cfg2) == pytest.approx(0.4 * 0.05**2 / 2)
+    assert stable_dt(cfg2) == pytest.approx(0.6 * 0.05**2 / 2)
     with pytest.raises(ValueError):
         make_config(model="local_u", chi=1.0, dx=0.05, t_end=1.0, cfl_sigma=0.0)
 
@@ -310,9 +310,13 @@ def test_run_front_speed_chi1():
 
 
 def test_window_recenter_preserves_moment():
-    # moving the window drops only tail mass below 1e-8
+    # moving the window drops only tail mass below 1e-8.  I is measured in
+    # the frame at c*, which the scheme trails, so it drifts by about
+    # 3.05e-4 t at cfl_sigma = 0.4 (1.83e-3 of the budget by t = 6) and
+    # faster at larger steps; the sharp check at the default is the test
+    # below
     cfg = make_config(model="nonlocal_rho", chi=2.0, dx=0.05, t_end=6.0, x_left=-30.0,
-                      width=60.0, left_pad=20.0, right_pad=18.0)
+                      width=60.0, left_pad=20.0, right_pad=18.0, cfl_sigma=0.4)
     rec = TraceRecorder(collect_defect=False, collect_rh=False)
     final = run(cfg, observers=[rec], trace_every=0.5)
     assert final.x_left > -30.0  # the window did move
