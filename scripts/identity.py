@@ -16,6 +16,10 @@ directory:
   `nonlocal_p` at a pulled and a pushed chi and `nonlocal_rho` at the
   pulled one, whose plateaus, and P's unchanged left part, the kernel's
   band skips;
+- densely sampled runs on the benchmark's `defect_diagnostics` window
+  (Heaviside data, dx = 0.04, pads 15/20) to T = 1 with the full trace
+  every 0.02, each model at chi = 0.3 and 2: between two recentrings the
+  kernel's steps are split into calls at every emit;
 - `gogrow wave` for every model at a pulled and a pushed chi.
 
 The two directories are then compared file by file.  The script prints
@@ -74,6 +78,23 @@ snapshot_every = 0.5
 """
 WAVE_RUNS = (("local_u", 0.081), ("local_u", 2.347), ("nonlocal_p", 0.081), ("nonlocal_p", 2.347),
              ("nonlocal_rho", 0.081))
+DENSE_RUN = """\
+[model]
+kind = "{model}"
+chi = {chi}
+[grid]
+dx = 0.04
+x_left = -30
+width = 65
+[run]
+t_end = 1
+amplitude = {amplitude}
+left_pad = 15
+right_pad = 20
+[output]
+trace_every = 0.02
+"""
+DENSE_CHIS = (0.3, 2.0)
 WAVES = ((0.5, "u"), (0.5, "p"), (0.5, "rho"), (2.0, "u"), (2.0, "p"), (2.0, "rho"))
 
 
@@ -108,6 +129,12 @@ def write_outputs(src: Path, into: Path) -> None:
         config = into / "inputs" / f"wave_{model}_{chi}.toml"
         config.write_text(WAVE_RUN.format(model=model, chi=chi))
         gogrow("run", "--config", config, "--out", into / f"wave_run_{model}_{chi}")
+    for model in MODELS[:3]:
+        for chi in DENSE_CHIS:
+            config = into / "inputs" / f"dense_{model}_{chi}.toml"
+            amplitude = 1.0 if model == "local_u" else max(1.0, chi)
+            config.write_text(DENSE_RUN.format(model=model, chi=chi, amplitude=amplitude))
+            gogrow("run", "--config", config, "--out", into / f"dense_run_{model}_{chi}")
     for chi, model in WAVES:
         gogrow("wave", "--chi", chi, "--model", model, "--xmin", -20, "--xmax", 20, "--dx", 0.05,
                "--out", into / f"wave_{model}_{chi}.csv")

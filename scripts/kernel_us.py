@@ -1,5 +1,5 @@
 """Microseconds per Euler step and per unit of simulated time, per model,
-grid size and batch.
+grid size and batch, and per trace sample.
 
     python3 scripts/kernel_us.py --before OLD/src --after src --rounds 10 --out BENCH.json
     python3 scripts/kernel_us.py --src src          # one measurement, JSON to stdout
@@ -16,13 +16,14 @@ read by nothing), which moves where their stacks and arrays fall within
 a 4,096-byte page: a case's medians then average over memory layouts
 rather than take one layout's luck.
 
-Every case times `solver.run_batch` runs over RUN_STEPS steps, with no
-observer but, in the sweep case, one that reads the clock, of which the
-median run is kept: the stepping loop a run pays for.  Each case reports
-`us`, µs per step, and `us_per_t`, µs per unit of simulated time: `us`
-divided by the case's `stable_dt`.  A change of the step size shows only
-in the second.  Only `run_batch` is called, so any two checkouts that
-have it can be compared.  Three kinds of case are timed:
+The stepping cases time `solver.run_batch` runs over RUN_STEPS steps,
+with no observer but, in the sweep case, one that reads the clock, of
+which the median run is kept: the stepping loop a run pays for.  Each
+reports `us`, µs per step, and `us_per_t`, µs per unit of simulated time:
+`us` divided by the case's `stable_dt`.  A change of the step size shows
+only in the second.  Only `run_batch`, `run` and `TraceRecorder.sample`
+are called, so any two checkouts that have them can be compared.  Five
+kinds of case are timed:
 
 - `run_batch`: a Heaviside front in a frame moving at speed 2 with
   dx = 0.05 (n = 1601, 2041 and 3201 nodes), with its recentring and
@@ -40,10 +41,17 @@ have it can be compared.  Three kinds of case are timed:
   RUN_STEPS steps.  It also reports `held`, the nodes per row that the
   kernel left unstepped in those steps, from one more run:
   `_Kernel.held`, or for a kernel without it the nodes left of each
-  band's first stepped node, counted at every step (`local_u` only).
+  band's first stepped node, counted at every step (`local_u` only);
+- `dense`: the two runs of a model on the benchmark's
+  `defect_diagnostics` window (Heaviside data, dx = 0.04, pads 15/20) at
+  its seed-1 chi, 0.081 and 2.347, to T = 1 with an emit every 0.02 and
+  no observer, so that `us` is the cost of stepping between emits; it
+  also reports `no_emit_us`, the same runs with no emit but the last;
+- `sample`: µs per `TraceRecorder.sample` of the state of one of those
+  runs at T = 1 (`us` only), the median of RUNS means over SAMPLES calls.
 
-`--src` alone runs every case, each in its own interpreter: 37 cases,
-about 12 s in all on a 2-core x86 host.
+`--src` alone runs every case, each in its own interpreter: 46 cases,
+about 16 s in all on a 2-core x86 host.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import platform
 import statistics
@@ -71,6 +80,8 @@ WAVE_DX = (0.02, 0.01)
 WAVE_CHIS = (0.3, 2.0)
 SWEEP_CHIS = (0.123, 0.456, 1.0, 2.0)
 SWEEP_T = 20.0
+DEFECT_CHIS = (0.081, 2.347)
+DENSE_T, DENSE_EVERY, SAMPLES = 1.0, 0.02, 100
 
 
 def cases() -> dict[str, tuple]:
@@ -86,18 +97,29 @@ def cases() -> dict[str, tuple]:
             for chi in WAVE_CHIS:
                 found[f"wave {model} n={round(32.0 / dx) + 1} chi={chi}"] = ("wave", model, dx, chi)
     found["sweep local_u n=2041 B=4"] = ("sweep", "local_u", DX, SWEEP_CHIS)
+    for model in WAVE_MODELS:
+        found[f"dense {model}"] = ("dense", model, None, DEFECT_CHIS)
+    for model in WAVE_MODELS:
+        for chi in DEFECT_CHIS:
+            found[f"sample {model} chi={chi}"] = ("sample", model, None, chi)
     return found
 
 
 def measure(src: str, case: str) -> dict:
     """The metrics of one case, timed with gogrow from src: {"us": µs per
-    step, "us_per_t": µs per unit of simulated time}, and for the wave and
-    sweep cases "held" too."""
+    step, "us_per_t": µs per unit of simulated time}, and "held" too for
+    the wave and sweep cases, "no_emit_us" for the dense ones; {"us": µs
+    per sample} for the sample cases."""
     sys.path.insert(0, str(Path(src).resolve()))
     from gogrow import solver
 
     kind, model, size, chis = cases()[case]
-    if kind == "sweep":
+    if kind == "sample":
+        return {"us": _sample_us(solver, _defect_cfg(solver, model, chis))}
+    if kind == "dense":
+        cfgs = [_defect_cfg(solver, model, chi) for chi in chis]
+        out = {"us": _dense_us(solver, cfgs, DENSE_EVERY), "no_emit_us": _dense_us(solver, cfgs, DENSE_T)}
+    elif kind == "sweep":
         cfgs = [solver.make_config(model, chi=chi, dx=size, x_left=-30.0, width=102.0, frame=solver.Frame.lab(),
                                    left_pad=18.0, right_pad=60.0) for chi in chis]
         out = _sweep(solver, cfgs)
@@ -113,6 +135,40 @@ def measure(src: str, case: str) -> dict:
         out = {"us": _run_batch_us(solver, cfgs)}
     out["us_per_t"] = out["us"] / solver.stable_dt(cfgs[0])
     return out
+
+
+def _defect_cfg(solver, model, chi):
+    # the benchmark's defect_diagnostics run, to T = DENSE_T
+    return solver.make_config(model, chi=chi, dx=0.04, t_end=DENSE_T, x_left=-30.0, width=65.0,
+                              amplitude=1.0 if model == "local_u" else max(1.0, chi), left_pad=15.0,
+                              right_pad=20.0)
+
+
+def _dense_us(solver, cfgs, every) -> float:
+    """µs per step of the runs of cfgs, each emitting every `every` with no
+    observer: the median over RUNS of the time of all of them."""
+    steps = sum(math.ceil(cfg.t_end / solver.stable_dt(cfg) - 1e-12) for cfg in cfgs)
+    runs = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        for cfg in cfgs:
+            solver.run(cfg, trace_every=every)
+        runs.append((time.perf_counter() - start) / steps * 1e6)
+    return statistics.median(runs)
+
+
+def _sample_us(solver, cfg) -> float:
+    """µs per TraceRecorder.sample of the final state of the run of cfg."""
+    from gogrow.diagnostics import TraceRecorder
+
+    state, rec = solver.run(cfg), TraceRecorder()
+    runs = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        for _ in range(SAMPLES):
+            rec.sample(state, cfg)
+        runs.append((time.perf_counter() - start) / SAMPLES * 1e6)
+    return statistics.median(runs)
 
 
 def _run_batch_us(solver, cfgs, recenter=True) -> float:
@@ -226,7 +282,8 @@ def main(argv=None) -> int:
         row = {f"{side}_{metric}": _summary([r[metric] for r in rounds])
                for metric in before[0] for side, rounds in (("before", before), ("after", after))}
         row["after_faster_rounds"] = sum(a["us"] < b["us"] for a, b in zip(after, before))
-        row["after_faster_per_t_rounds"] = sum(a["us_per_t"] < b["us_per_t"] for a, b in zip(after, before))
+        if "us_per_t" in before[0]:  # not for the sample cases
+            row["after_faster_per_t_rounds"] = sum(a["us_per_t"] < b["us_per_t"] for a, b in zip(after, before))
         table[case] = row
     report = {
         "what": "microseconds per step (us) and per unit of simulated time (us_per_t: us / "
@@ -234,7 +291,9 @@ def main(argv=None) -> int:
                 "in its own interpreter, whose environment is padded by a length that differs "
                 "from round to round; wave: traveling waves in their moving frame, no "
                 "recentring; sweep: the pulled_fronts batch after t = 20; wave and sweep report the "
-                "nodes per row the kernel held)",
+                "nodes per row the kernel held; dense: the defect_diagnostics runs to T = 1 with an emit "
+                "every 0.02 and no observer, and no_emit_us without the emits; sample: us per "
+                "TraceRecorder.sample of their state at T = 1)",
         "machine": {"platform": platform.platform(), "cpu": _cpu_model(), "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -245,10 +304,12 @@ def main(argv=None) -> int:
     for case, row in table.items():
         held = f"  held {row['before_held']['median']:.0f} -> {row['after_held']['median']:.0f}" \
             if "before_held" in row else ""
+        per_t = f"  {row['before_us_per_t']['median']:9.0f} -> {row['after_us_per_t']['median']:9.0f} us per t" \
+            f"  ({row['after_faster_per_t_rounds']}/{args.rounds} faster)" if "before_us_per_t" in row else ""
+        plain = f"  no emit {row['before_no_emit_us']['median']:.2f} -> {row['after_no_emit_us']['median']:.2f} us" \
+            if "before_no_emit_us" in row else ""
         print(f"{case:36s} {row['before_us']['median']:8.2f} -> {row['after_us']['median']:8.2f} us"
-              f"  ({row['after_faster_rounds']}/{args.rounds} faster)"
-              f"  {row['before_us_per_t']['median']:9.0f} -> {row['after_us_per_t']['median']:9.0f} us per t"
-              f"  ({row['after_faster_per_t_rounds']}/{args.rounds} faster){held}")
+              f"  ({row['after_faster_rounds']}/{args.rounds} faster){per_t}{held}{plain}")
     return 0
 
 

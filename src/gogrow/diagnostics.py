@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import solver
-from .profiles import eta_nonlocal, eta_regularized
+from .profiles import _eta_nonlocal, _eta_regularized, minimal_speed
 from .solver import Model, SimConfig, SimState
 
 
@@ -79,34 +79,36 @@ class _Derived:
         """Node-wise defect -v_x - eta(v) of v = u (local) or P (nonlocal)."""
         cfg = self.cfg
         v = self.probe
-        if cfg.model is Model.LOCAL_U:
-            # The scheme evolves the regularized flux, so its preserved-sign
-            # defect is measured against the matching regularized profile.
-            eta = eta_regularized(cfg.chi_params.chi, cfg.epsilon, np.clip(v, 0.0, 1.0))
-        elif cfg.model in (Model.NONLOCAL_P, Model.NONLOCAL_RHO):
-            eta = eta_nonlocal(cfg.chi_params.chi, np.clip(v, 0.0, None))
-        else:
+        local = cfg.model is Model.LOCAL_U
+        if not (local or cfg.model in (Model.NONLOCAL_P, Model.NONLOCAL_RHO)):
             raise ValueError("shape defect is defined for the go-or-grow models only")
+        s = np.clip(v, 0.0, 1.0 if local else None)
+        # clipping keeps NaN, and +inf for P; the max of s >= 0 finds both
+        if not math.isfinite(float(s.max())):
+            raise ValueError("shape defect needs a finite field")
+        cp = minimal_speed(cfg.chi_params.chi)
+        # The scheme evolves the regularized flux, so the local model's
+        # preserved-sign defect is measured against the matching
+        # regularized profile.
+        eta = _eta_regularized(cp, cfg.epsilon, s) if local else _eta_nonlocal(cp, s)
         return -solver.centered_slope(v, cfg.grid.dx) - eta
 
     @cached_property
-    def keep(self) -> np.ndarray:
-        """Mask of nodes kept for defect statistics.
+    def keep(self) -> tuple[int, int]:
+        """The nodes [lo, hi) dropped from defect statistics, within the
+        nodes [2, n - 2) that the one-sided edge stencils leave.
 
         Drops 3 cells around the flux-switch kink (a genuine distributional
-        object) and the one-sided edge stencils.  For the regularized local
-        model the switch is not a point: the interface occupies the level
-        band u in (1 - eps, 1) and its discrete corner layer radiates about
-        two more eps-widths of wake, so the whole band from the front level
-        down to 1 - 4 eps is interface machinery and is excluded.
+        object).  For the regularized local model the switch is not a
+        point: the interface occupies the level band u in (1 - eps, 1) and
+        its discrete corner layer radiates about two more eps-widths of
+        wake, so the whole band from the front level down to 1 - 4 eps is
+        interface machinery and is excluded.
         """
         cfg, pad = self.cfg, 3
-        n = cfg.grid.n
-        keep = np.ones(n, dtype=bool)
-        keep[:2] = keep[-2:] = False
         front = self.front
         if front is None:
-            return keep
+            return 2, 2
         dx = cfg.grid.dx
         x_left = self.state.x_left
         hi_x = front
@@ -116,14 +118,22 @@ class _Derived:
                 hi_x = deep
         i0 = int(round((front - x_left) / dx)) - pad
         i1 = int(round((hi_x - x_left) / dx)) + pad + 1
-        keep[max(0, i0) : min(n, i1)] = False
-        return keep
+        last = cfg.grid.n - 2
+        lo = min(max(i0, 2), last)
+        return lo, max(min(i1, last), lo)
+
+    def kept(self, values: np.ndarray) -> np.ndarray:
+        """The values at the nodes kept for defect statistics, in order."""
+        lo, hi = self.keep
+        return np.concatenate((values[2:lo], values[hi : self.cfg.grid.n - 2]))
 
     def min_defect(self) -> float:
-        return float(self.omega[self.keep].min()) if self.keep.any() else math.nan
+        kept = self.kept(self.omega)
+        return float(kept.min()) if kept.size else math.nan
 
     def weighted_sup(self) -> float:
-        return float((self.omega * self.weight)[self.keep].max()) if self.keep.any() else math.nan
+        kept = self.kept(self.omega * self.weight)
+        return float(kept.max()) if kept.size else math.nan
 
     def moment(self, kind: MomentKind, m: float = 0.2) -> tuple[float, float]:
         """Trapezoid moment and the integrand at the right window edge."""

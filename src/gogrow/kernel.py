@@ -15,7 +15,10 @@ loop over prebuilt views of the two buffers, so a step pays for its numpy
 calls and little else.  It steps only a band of each row, past the nodes
 behind the front that a step provably leaves as they are (see _Kernel):
 a plateau, a settled stretch, or the left part of a wave of P that its
-moving frame leaves unchanged.
+moving frame leaves unchanged.  A call goes on with the bands and proofs
+of the last one while the rows are as that call left them, so an event
+that only reads the rows, such as an emit, costs the kernel one
+comparison of the rows.
 Each step is checked by one global guard, out[argmin] >= 0 and out[argmax]
 <= a ceiling (1 + 1e-12 for the bounded models); argmin and argmax return
 the first NaN, and an infinity fails one of the two tests, so every value
@@ -85,37 +88,45 @@ class _Kernel:
       computed as advance computes it with R(c) included, gives c
       (_keeps; R is 0 left of the density model's switch node).  The band
       starts one node left of the first node off c.  This needs nothing
-      but the weights, so it is the proof of a call's first step and the
-      only one of the log-shifted frame, whose weights change every step:
-      there it is checked again for each new set of weights.
-    - An observed stretch.  At a call's second step, when the weights are
-      those of the first, a node that the first step left unchanged, with
-      both its neighbours, has that step's inputs again and comes out the
-      same.  With f the first node that step changed (for the density
-      model no further right than its switch node, so that R was 0 at
-      both steps), the band starts _MARGIN short of f - 1, when that
-      holds more than the run.  New weights (the short last step) void it.
-      While the drift is constant, the proof is taken again every _EVERY
-      steps of the call, on the last step and its input, as long as the
-      bands have not settled: the last proof moved one, or a slice has
-      none.  Such a later proof moves a band by _MARGIN nodes or more.
+      but the weights, so it is the proof of a kernel's first step and of
+      the first after a write, and the only one of the log-shifted frame,
+      whose weights change every step: there it is checked again for
+      each new set of weights.
+    - An observed stretch.  At the second step after the run proofs,
+      when the weights are those of the first, a node that the first step
+      left unchanged, with both its neighbours, has that step's inputs
+      again and comes out the same.  With f the first node that step
+      changed (for the density model no further right than its switch
+      node, so that R was 0 at both steps), the band starts _MARGIN short
+      of f - 1, when that holds more than the run.  New weights (the
+      short last step) void it.  While the drift is constant, the proof
+      is taken again every _EVERY steps, on the last step and its input.
+      Such a later proof moves a band by _MARGIN nodes or more, so a band
+      follows a plateau that advances behind its front.
 
     Either proof is kept by watching the band's first node: while a step
     leaves it unchanged, the held nodes see the inputs they saw; when it
     changes, the band widens by _MARGIN (_widen).  The density model's
     band also widens to left of its switch node when that moves into it.
-    A write to the rows outside advance (a recentring shift, a guard's
-    clip, a dropped member) voids both proofs, so each call proves its
-    bands again; a band inside the run stays where it was while it is
-    fewer than _MARGIN nodes short of the new start, so that views are
-    built rarely.  Held nodes are copied from v in a call's first step
-    and then sit in both buffers, as do the two edge nodes after its
-    second, so later steps write neither; rows that share chi rewrite
+    A call goes on where the last one stopped, with its bands, the
+    steps since they were proved and the next proof due, so advance(a);
+    advance(b) steps and holds as advance(a + b) does.  A write to the
+    rows between calls voids that: the kernel keeps the bytes of cur as
+    it left them and compares them at the next call, so after a
+    recentring shift, a test's write or a guard's clip (a tripped guard
+    keeps nothing) the next call proves its bands again from the run; a
+    band inside the run stays where it was while it is fewer than
+    _MARGIN nodes short of the new start, so that views are built
+    rarely.  New weights keep the bands that _reweigh proves under them,
+    as within a call, and count the steps since the proofs from 0 again.
+    Held nodes are copied from v in the first step so counted and then
+    sit in both buffers, as do the two edge nodes after the second, so
+    later steps write neither; rows that share chi rewrite
     their edges every step, as their stencil runs across row boundaries.
     The guard still reads every node, and held counts the node-steps
     held.  The reaction runs from the first band to the end of the array.
-    nonlocal_p has no run, so its band starts again at node 1 in each
-    call; its node 0 keeps the linear rule 2 out[1] - out[2], which gives
+    nonlocal_p has no run, so its band starts again at node 1 after a
+    write; its node 0 keeps the linear rule 2 out[1] - out[2], which gives
     node 0 its value again while nodes 1 and 2 are held.  Its stretch
     holds where steps leave the left part of P unchanged, in a frame
     moving with the wave, and nowhere in the lab frame, where P grows on
@@ -178,6 +189,13 @@ class _Kernel:
         self._legs: list | None = None
         self._witness = 0
         self.held = 0
+        # the bytes of cur as the last call left them (None: that call's
+        # guard tripped, or none was made), the steps taken since the
+        # proofs (0: none yet under the current weights), and the step of
+        # the next observed proof, counted as those
+        self._left: bytes | None = None
+        self._done = 0
+        self._proof_at = 1
         # nodes 0, 1, 2 and n-1 of every row; plain indices for one row,
         # which cost less than strided views
         self._edges = [i if self.rows == 1 else slice(i, None, n) for i in (0, 1, 2, n - 1)]
@@ -232,12 +250,12 @@ class _Kernel:
     def _find(self) -> None:
         """Set the band of each slice, from its first row.
 
-        At a call's first step, from the constant run of cur: one node
-        left of the first node off its left value c when _keeps(c), or
-        where the band was while that is inside the run and fewer than
-        _MARGIN nodes short.  When nxt holds a step of cur under the
-        current weights (_witness, the steps taken: 1 at a call's second
-        step, then every _EVERY steps), from that step: _MARGIN short of
+        After a write, from the constant run of cur: one node left of the
+        first node off its left value c when _keeps(c), or where the band
+        was while that is inside the run and fewer than _MARGIN nodes
+        short.  When nxt holds a step of cur under the current weights
+        (_witness, the steps since the run proofs: 1, then every _EVERY
+        steps), from that step: _MARGIN short of
         one node left of the first node it changed, or the density
         model's switch node, if that is further right.  Node n - 1 is
         never held.
@@ -379,11 +397,24 @@ class _Kernel:
         times = itertools.chain((t,), times)
         drift = drift_at(t)
         if self._key != (dt, drift):
+            # new weights: as within a call, _reweigh keeps only the bands
+            # they prove; the steps since the proofs count from 0
             self._reweigh(dt, drift)
-        key, shifting = self._key, self.frame.r != 0.0
-        self._find()
+            self._done = 0
+        if self._left is None or self.cur.tobytes() != self._left:
+            self._find()  # the rows were written, or no call left them
+            self._done = 0
+        # with neither, this call goes on with the last call's bands and
+        # proofs, as one call would
+        key, done = self._key, self._done
+        if not done:
+            self._proof_at = 1
+        shifting = self.frame.r != 0.0
         legs, watch, holds = self._banded()
-        taken, since, guarded, proof_at = 0, 0, None, 1
+        # the steps of this call that copy held nodes, the first counted
+        # from 0, and that write the edges, the first two
+        taken, since, guarded, proof_at = 0, 0, None, self._proof_at - done
+        copy_at, edges_until = 1 - done, 2 - done
         for t in times:
             if shifting:
                 drift = drift_at(t)
@@ -391,12 +422,11 @@ class _Kernel:
                     self._reweigh(dt, drift)
             if taken == proof_at and self._key == key:
                 # nxt holds the last step of cur, under these weights
-                starts = self._start[:]
-                self._witness = taken
+                self._witness = done + taken
                 self._find()
-                # prove again while the drift is constant and the bands have
-                # not settled: this proof moved one, or a slice has none
-                if not shifting and (self._start != starts or 1 in self._start):
+                # prove again while the drift is constant, so that a band
+                # follows a plateau that advances
+                if not shifting:
                     proof_at += _EVERY
             if switches is not None:
                 switches(legs[taken % 2][0])
@@ -414,10 +444,10 @@ class _Kernel:
                     rhs += r_inner
                 else:
                     rhs += np.correlate(r_row, wr)
-            if taken == 1:
+            if taken == copy_at:
                 for out_held, v_held in copies:
                     out_held[...] = v_held
-            if taken <= 2 or shared:
+            if taken <= edges_until or shared:
                 out[last] = 0.0
                 if not left_linear:
                     out[first] = v[first]  # plateau held fixed for one step
@@ -441,6 +471,9 @@ class _Kernel:
             self.cur, self.nxt = self.nxt, self.cur
             if self._legs is not None:
                 self._legs.reverse()
+        # a guard's clip wrote rows that no step gave
+        self._left = self.cur.tobytes() if guarded is None else None
+        self._done, self._proof_at = done + taken, done + proof_at
         return taken, guarded
 
     def _banded(self) -> tuple[list, list, int]:

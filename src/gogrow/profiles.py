@@ -149,7 +149,12 @@ def eta_nonlocal(chi: float, s):
     arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError("eta_nonlocal argument must be finite and >= 0")
-    return _return_like(s, _lambert_profile(cp, arr, _lam, 1.0 / (cp.c_star - cp.chi)))
+    return _return_like(s, _eta_nonlocal(cp, arr))
+
+
+def _eta_nonlocal(cp: ChiParams, arr: np.ndarray) -> np.ndarray:
+    # eta_nonlocal of a finite array >= 0, unchecked
+    return _lambert_profile(cp, arr, _lam, 1.0 / (cp.c_star - cp.chi))
 
 
 @dataclass(frozen=True)
@@ -214,20 +219,26 @@ def eta_regularized(chi: float, epsilon: float, s):
     arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("eta_regularized argument must lie in [0, 1]")
+    return _return_like(s, _eta_regularized(cp, epsilon, arr))
+
+
+def _eta_regularized(cp: ChiParams, epsilon: float, arr: np.ndarray) -> np.ndarray:
+    # eta_regularized of an array in [0, 1] with epsilon in (0, 1/2), unchecked
     if cp.chi >= 1.0:
         out = cp.chi * (arr - _ramp_flux(arr, epsilon))
         out[arr >= 1.0] = 0.0  # exact zero, avoids 1 - (1-eps)/eps roundoff
         np.maximum(out, 0.0, out=out)
     else:
-        rc = regularization_constants(chi, epsilon)
+        rc = regularization_constants(cp.chi, epsilon)
         scale = math.exp(rc.k_eps)
         out = np.empty_like(arr)
         low = arr <= 1.0 - epsilon
         if low.any():
-            out[low] = eta_local(chi, scale * arr[low]) / scale
+            # eta_local of scale * s, which lies in [0, 1) below 1 - eps
+            out[low] = _lambert_profile(cp, scale * arr[low], _kappa, 0.0) / scale
         high = ~low
         out[high] = rc.m_eps * (1.0 - arr[high])
-    return _return_like(s, out)
+    return out
 
 
 def q_and_r(model: str, chi: float, s: float, epsilon: float | None = None) -> tuple[float, float]:

@@ -9,11 +9,11 @@ centered second difference for diffusion, centered first differences for
 the frame drift and the flux divergence, pointwise reaction; the update
 itself is gogrow.kernel's.  Physical diffusion has unit coefficient, so at
 desk-scale resolutions the centered advection keeps the update monotone
-(mesh Peclet number chi * Lip(A) * dx/2 and |c| dx/2 both below 1,
-enforced at config validation); monotonicity is what the comparison and
-ordering tests rely on.  The frame is the front law s(t) = c t - r log(t + t0)
-used as a coordinate, with drift c_frame(t) = c - r/(t + t0); the lab and
-moving frames are its r = 0 cases.
+(mesh Peclet numbers chi Lip(A) dx/2 and |c| dx/2 below 1, and their sum
+for a backward drift, checked by SimConfig); the comparison and ordering
+tests rely on monotonicity.  The frame is the front law s(t) = c t -
+r log(t + t0) used as a coordinate, with drift c_frame(t) = c - r/(t + t0);
+the lab and moving frames are its r = 0 cases.
 
 The sharp local flux is never differenced directly: local-model runs
 substitute the piecewise-linear regularization of width SimConfig.epsilon,
@@ -219,13 +219,16 @@ class SimConfig:
             raise ValueError("epsilon is set for the local model and only for it")
         if self.epsilon is not None and not (0.0 < self.epsilon < 0.5):
             raise ValueError(f"effective epsilon {self.epsilon!r} outside (0, 1/2); adjust dx or epsilon")
-        chi = self.chi_params.chi
+        lip = self.chi_params.chi * self.flux_lipschitz()
         dx = self.grid.dx
         # Monotonicity of the centered advection needs mesh Peclet < 1.
-        if chi * self.flux_lipschitz() * dx / 2.0 >= 1.0:
+        if lip * dx / 2.0 >= 1.0:
             raise ValueError("mesh Peclet number chi*Lip(A)*dx/2 >= 1; refine dx or widen epsilon")
         if self.frame.drift_bound() * dx / 2.0 >= 1.0:
             raise ValueError("frame drift mesh Peclet number >= 1; refine dx")
+        # the right neighbour's weight loses both the flux and a backward drift
+        if (lip + max(0.0, self.frame.r / self.frame.t0 - self.frame.c)) * dx / 2.0 >= 1.0:
+            raise ValueError("mesh Peclet number (chi*Lip(A) + backward drift)*dx/2 >= 1; refine dx")
 
     def flux_lipschitz(self) -> float:
         """Lip(A) of the flux the scheme differences: 1/eps for the local
@@ -406,11 +409,9 @@ def level_crossing(field: np.ndarray, x_left: float, dx: float, level: float) ->
     None when the level is never reached or never dropped below again
     inside the window.
     """
-    above = np.nonzero(field >= level)[0]
-    if above.size == 0:
-        return None
-    i = int(above[-1])
-    if i == field.size - 1:
+    # the rightmost node at or above the level, the last True byte (-1: none)
+    i = (field >= level).tobytes().rfind(1)
+    if i < 0 or i == field.size - 1:
         return None
     drop = field[i] - field[i + 1]
     frac = 0.0 if drop <= 0.0 else (field[i] - level) / drop

@@ -36,9 +36,13 @@ GRIDS = [
     ("nonlocal_p", (0.5, 1.0, 2.0), (0.04, 0.02), "lab", {}),  # 05
     ("nonlocal_p", (1.0, 2.0), (0.05,), "lab", {}),  # 06, 07
     ("nonlocal_p", (2.0,), (0.01,), "lab", {}),  # 08
+    # a frame drifting backward, which the right neighbour weight pays for
+    # with the flux: (chi Lip(A) + 25) dx/2 = 0.875
+    ("local_u", (1.0,), (0.05,), solver.Frame.moving(-25.0), {}),
 ]
 CASES = [
-    pytest.param(model, chi, dx, frame, kw, id=f"{model}-{frame}-chi{chi}-dx{dx}{'-fixed' if kw else ''}")
+    pytest.param(model, chi, dx, frame, kw,
+                 id=f"{model}-{getattr(frame, 'c', frame)}-chi{chi}-dx{dx}{'-fixed' if kw else ''}")
     for model, chis, dxs, frame, kw in GRIDS
     for chi in chis
     for dx in dxs
@@ -103,3 +107,11 @@ def test_one_step_keeps_ordered_rows_ordered(model, chi, dx, frame, kw):
     assert kern.advance((0.0,), dt) == (1, None)
     out_hi, out_lo = kern.cur.reshape(2, n)
     assert float(np.min(out_hi - out_lo)) >= -1e-12
+
+
+def test_backward_drift_past_the_flux_margin_is_refused():
+    # each mesh-Peclet number alone is below 1, (chi Lip(A) = 10) dx/2 = 0.25
+    # and 35 dx/2 = 0.875, but the right neighbour weight at R' = 1 - Lip(A)
+    # would be lam (1 - 1.125) < 0
+    with pytest.raises(ValueError, match="backward drift"):
+        solver.make_config("local_u", chi=1.0, dx=0.05, frame=solver.Frame.moving(-35.0))
