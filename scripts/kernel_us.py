@@ -44,9 +44,9 @@ kinds of case are timed:
   band's first stepped node, counted at every step (`local_u` only);
 - `dense`: the two runs of a model on the benchmark's
   `defect_diagnostics` window (Heaviside data, dx = 0.04, pads 15/20) at
-  its seed-1 chi, 0.081 and 2.347, to T = 1 with an emit every 0.02 and
-  no observer, so that `us` is the cost of stepping between emits; it
-  also reports `no_emit_us`, the same runs with no emit but the last;
+  its seed-1 chi, 0.081 and 2.347, to its T = 3 with an emit every 0.02
+  and no observer, so that `us` is the cost of stepping between emits;
+  it also reports `no_emit_us`, the same runs with no emit but the last;
 - `sample`: µs per `TraceRecorder.sample` of the state of one of those
   runs at T = 1 (`us` only), the median of RUNS means over SAMPLES calls.
 
@@ -81,7 +81,7 @@ WAVE_CHIS = (0.3, 2.0)
 SWEEP_CHIS = (0.123, 0.456, 1.0, 2.0)
 SWEEP_T = 20.0
 DEFECT_CHIS = (0.081, 2.347)
-DENSE_T, DENSE_EVERY, SAMPLES = 1.0, 0.02, 100
+DENSE_T, DENSE_EVERY, SAMPLE_T, SAMPLES = 3.0, 0.02, 1.0, 100
 
 
 def cases() -> dict[str, tuple]:
@@ -115,9 +115,9 @@ def measure(src: str, case: str) -> dict:
 
     kind, model, size, chis = cases()[case]
     if kind == "sample":
-        return {"us": _sample_us(solver, _defect_cfg(solver, model, chis))}
+        return {"us": _sample_us(solver, _defect_cfg(solver, model, chis, SAMPLE_T))}
     if kind == "dense":
-        cfgs = [_defect_cfg(solver, model, chi) for chi in chis]
+        cfgs = [_defect_cfg(solver, model, chi, DENSE_T) for chi in chis]
         out = {"us": _dense_us(solver, cfgs, DENSE_EVERY), "no_emit_us": _dense_us(solver, cfgs, DENSE_T)}
     elif kind == "sweep":
         cfgs = [solver.make_config(model, chi=chi, dx=size, x_left=-30.0, width=102.0, frame=solver.Frame.lab(),
@@ -137,9 +137,9 @@ def measure(src: str, case: str) -> dict:
     return out
 
 
-def _defect_cfg(solver, model, chi):
-    # the benchmark's defect_diagnostics run, to T = DENSE_T
-    return solver.make_config(model, chi=chi, dx=0.04, t_end=DENSE_T, x_left=-30.0, width=65.0,
+def _defect_cfg(solver, model, chi, t_end):
+    # the benchmark's defect_diagnostics run, to t_end
+    return solver.make_config(model, chi=chi, dx=0.04, t_end=t_end, x_left=-30.0, width=65.0,
                               amplitude=1.0 if model == "local_u" else max(1.0, chi), left_pad=15.0,
                               right_pad=20.0)
 
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
                 "in its own interpreter, whose environment is padded by a length that differs "
                 "from round to round; wave: traveling waves in their moving frame, no "
                 "recentring; sweep: the pulled_fronts batch after t = 20; wave and sweep report the "
-                "nodes per row the kernel held; dense: the defect_diagnostics runs to T = 1 with an emit "
+                "nodes per row the kernel held; dense: the defect_diagnostics runs to T = 3 with an emit "
                 "every 0.02 and no observer, and no_emit_us without the emits; sample: us per "
                 "TraceRecorder.sample of their state at T = 1)",
         "machine": {"platform": platform.platform(), "cpu": _cpu_model(), "cpus": os.cpu_count()},

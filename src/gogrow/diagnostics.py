@@ -1,8 +1,12 @@
 """Observables of a run: front location, shape defect, exponential moments,
 free-boundary (Rankine-Hugoniot) residuals, and weighted-defect norms.
 
-All functions are pure in the state and cheap relative to time stepping;
-they are meant to be sampled along a run through TraceRecorder.
+All functions are pure in the state; they are meant to be sampled along a
+run through TraceRecorder.  On the benchmark's defect_diagnostics grid
+(n = 1,626) a sample costs about 230 us at a pulled chi, half of it in
+W_{-1}, and about 80 us at a pushed one, against 10 to 14 us for a
+kernel step there (scripts/kernel_us.py): sampled every 0.02, or 42
+steps, the samples take about a quarter of such a run.
 """
 
 from __future__ import annotations

@@ -92,17 +92,18 @@ class _Kernel:
       the first after a write, and the only one of the log-shifted frame,
       whose weights change every step: there it is checked again for
       each new set of weights.
-    - An observed stretch.  At the second step after the run proofs,
-      when the weights are those of the first, a node that the first step
-      left unchanged, with both its neighbours, has that step's inputs
-      again and comes out the same.  With f the first node that step
-      changed (for the density model no further right than its switch
-      node, so that R was 0 at both steps), the band starts _MARGIN short
-      of f - 1, when that holds more than the run.  New weights (the
-      short last step) void it.  While the drift is constant, the proof
-      is taken again every _EVERY steps, on the last step and its input.
-      Such a later proof moves a band by _MARGIN nodes or more, so a band
-      follows a plateau that advances behind its front.
+    - An observed stretch.  At the second step after a write or new
+      weights, when the weights are those of the first, a node that the
+      first step left unchanged, with both its neighbours, has that
+      step's inputs again and comes out the same.  With f the first node
+      that step changed (for the density model no further right than its
+      switch node, so that R was 0 at both steps), the band starts
+      _MARGIN short of f - 1, when that holds more than the run.  New
+      weights (the short last step) void it.  While the drift is
+      constant, the proof is taken again every _EVERY steps, on the last
+      step and its input.  Such a later proof moves a band by _MARGIN
+      nodes or more, so a band follows a plateau that advances behind
+      its front.
 
     Either proof is kept by watching the band's first node: while a step
     leaves it unchanged, the held nodes see the inputs they saw; when it
@@ -254,8 +255,8 @@ class _Kernel:
         first node off its left value c when _keeps(c), or where the band
         was while that is inside the run and fewer than _MARGIN nodes
         short.  When nxt holds a step of cur under the current weights
-        (_witness, the steps since the run proofs: 1, then every _EVERY
-        steps), from that step: _MARGIN short of
+        (_witness, the steps since a write or new weights: 1, then every
+        _EVERY steps), from that step: _MARGIN short of
         one node left of the first node it changed, or the density
         model's switch node, if that is further right.  Node n - 1 is
         never held.

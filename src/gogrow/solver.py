@@ -409,8 +409,7 @@ def level_crossing(field: np.ndarray, x_left: float, dx: float, level: float) ->
     None when the level is never reached or never dropped below again
     inside the window.
     """
-    # the rightmost node at or above the level, the last True byte (-1: none)
-    i = (field >= level).tobytes().rfind(1)
+    i = (field >= level).tobytes().rfind(1)  # the last node at or above it, -1 for none
     if i < 0 or i == field.size - 1:
         return None
     drop = field[i] - field[i + 1]
