@@ -51,7 +51,7 @@ kinds of case are timed:
   runs at T = 1 (`us` only), the median of RUNS means over SAMPLES calls.
 
 `--src` alone runs every case, each in its own interpreter: 46 cases,
-about 16 s in all on a 2-core x86 host.
+about 18 s in all on a 2-core x86 host.
 """
 
 from __future__ import annotations
