@@ -21,13 +21,19 @@ with no observer but, in the sweep case, one that reads the clock, of
 which the median run is kept: the stepping loop a run pays for.  Each
 reports `us`, µs per step, and `us_per_t`, µs per unit of simulated time:
 `us` divided by the case's `stable_dt`.  A change of the step size shows
-only in the second.  Only `run_batch`, `run` and `TraceRecorder.sample`
-are called, so any two checkouts that have them can be compared.  Five
-kinds of case are timed:
+only in the second.  Only `run_batch`, `run`, `step` and
+`TraceRecorder.sample` are called, so any two checkouts that have them
+can be compared.  Seven kinds of case are timed:
 
 - `run_batch`: a Heaviside front in a frame moving at speed 2 with
   dx = 0.05 (n = 1601, 2041 and 3201 nodes), with its recentring and
   emits; a batch of B = 4 holds chi = 0.5, 1, 2 and 0.25 side by side;
+- `step`: the `run_batch` case of `local_u` at n = 1601 and B = 1 taken
+  as RUN_STEPS calls of `solver.step`, each from the state the last one
+  returned, so that `us` is µs per call: a new kernel and one step;
+- `log`: the `run_batch` case of each model at n = 1601 and B = 1 in
+  the log-shifted frame (speed 2, r = 1.5, t0 = 1), whose drift, and so
+  the kernel's weights, change on every step;
 - `wave`: B = 1 on the benchmark's `wave_refinement` shape, the
   closed-form traveling wave of each model in the frame moving at
   c*(chi), on the window [-15, 17] at dx = 0.02 and 0.01 (n = 1601 and
@@ -50,8 +56,8 @@ kinds of case are timed:
 - `sample`: µs per `TraceRecorder.sample` of the state of one of those
   runs at T = 1 (`us` only), the median of RUNS means over SAMPLES calls.
 
-`--src` alone runs every case, each in its own interpreter: 46 cases,
-about 18 s in all on a 2-core x86 host.
+`--src` alone runs every case, each in its own interpreter: 51 cases,
+about 23 s in all on a 2-core x86 host.
 """
 
 from __future__ import annotations
@@ -92,6 +98,9 @@ def cases() -> dict[str, tuple]:
         for n in SIZES:
             for rows in CHIS:
                 found[f"run_batch {model} n={n} B={rows}"] = ("run_batch", model, n, CHIS[rows])
+    found[f"step local_u n={SIZES[0]}"] = ("step", "local_u", SIZES[0], CHIS[1])
+    for model in MODELS:
+        found[f"log {model} n={SIZES[0]}"] = ("log", model, SIZES[0], CHIS[1])
     for model in WAVE_MODELS:
         for dx in WAVE_DX:
             for chi in WAVE_CHIS:
@@ -130,9 +139,10 @@ def measure(src: str, case: str) -> dict:
         out = {"us": _run_batch_us(solver, cfgs, recenter=False), "held": _held(solver, cfgs, 0.0, recenter=False)}
     else:
         width = (size - 1) * DX
-        cfgs = [solver.make_config(model, chi=chi, dx=DX, x_left=-width / 2, width=width,
-                                   frame=solver.Frame.moving(2.0)) for chi in chis]
-        out = {"us": _run_batch_us(solver, cfgs)}
+        frame = solver.Frame.log_shifted(2.0, r=1.5, t0=1.0) if kind == "log" else solver.Frame.moving(2.0)
+        cfgs = [solver.make_config(model, chi=chi, dx=DX, x_left=-width / 2, width=width, frame=frame)
+                for chi in chis]
+        out = {"us": _step_us(solver, cfgs[0]) if kind == "step" else _run_batch_us(solver, cfgs)}
     out["us_per_t"] = out["us"] / solver.stable_dt(cfgs[0])
     return out
 
@@ -168,6 +178,20 @@ def _sample_us(solver, cfg) -> float:
         for _ in range(SAMPLES):
             rec.sample(state, cfg)
         runs.append((time.perf_counter() - start) / SAMPLES * 1e6)
+    return statistics.median(runs)
+
+
+def _step_us(solver, cfg) -> float:
+    """µs per solver.step call over RUN_STEPS calls from the initial state
+    of cfg, each stepping the state the last one returned."""
+    dt = solver.stable_dt(cfg)
+    runs = []
+    for _ in range(RUNS):
+        state = solver.make_state(cfg)
+        start = time.perf_counter()
+        for _ in range(RUN_STEPS):
+            state = solver.step(state, cfg, dt)
+        runs.append((time.perf_counter() - start) / RUN_STEPS * 1e6)
     return statistics.median(runs)
 
 
@@ -289,7 +313,8 @@ def main(argv=None) -> int:
         "what": "microseconds per step (us) and per unit of simulated time (us_per_t: us / "
                 "stable_dt) of whole solver.run_batch runs (median run of each round, each case "
                 "in its own interpreter, whose environment is padded by a length that differs "
-                "from round to round; wave: traveling waves in their moving frame, no "
+                "from round to round; step: us per solver.step call; log: run_batch in the "
+                "log-shifted frame; wave: traveling waves in their moving frame, no "
                 "recentring; sweep: the pulled_fronts batch after t = 20; wave and sweep report the "
                 "nodes per row the kernel held; dense: the defect_diagnostics runs to T = 3 with an emit "
                 "every 0.02 and no observer, and no_emit_us without the emits; sample: us per "

@@ -439,8 +439,11 @@ def cmd_sweep(chi_list: list[float], cfg: RunConfig, out_dir: Path, jobs: int = 
 
 
 def cmd_wave(chi: float, model: str, x_min: float, x_max: float, dx: float, out_path: Path | None) -> int:
-    if not (x_min < x_max and dx > 0):
-        raise ValueError("validation error on wave range: need xmin < xmax and dx > 0")
+    if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max and 0 < dx < math.inf):
+        raise ValueError("validation error on wave range: need finite xmin < xmax and dx > 0")
+    if not (x_max - x_min) / dx <= solver.MAX_NODES - 1:
+        raise ValueError(f"validation error on wave range: [{x_min!r}, {x_max!r}] at dx {dx!r} "
+                         f"needs more than {solver.MAX_NODES} points")
     x = np.arange(x_min, x_max + dx * 0.5, dx)
     u = traveling_wave("u", chi, x)
     rho = traveling_wave("rho", chi, x)

@@ -108,14 +108,15 @@ def _lambert_profile(cp: ChiParams, arr: np.ndarray, prefactor, go_value: float)
     """Profile shared by the local and cumulative-mass models: chi*s below
     1 for chi >= 1, and (1 + 1/W_{-1}(-k*s)) * s with k = prefactor(chi)
     below chi = 1; go_value from s = 1 on."""
+    below = arr < 1.0
     if cp.chi >= 1.0:
-        return np.where(arr < 1.0, cp.chi * arr, go_value)
-    out = np.where(arr < 1.0, 0.0, go_value)
+        return np.where(below, cp.chi * arr, go_value)
+    out = np.where(below, 0.0, go_value)
     y = prefactor(cp.chi) * arr
     # k*s can underflow to 0 for subnormal s; there eta(s) -> s
-    tiny = (arr > 0.0) & (y <= 0.0) & (arr < 1.0)
+    tiny = (arr > 0.0) & (y <= 0.0) & below
     out[tiny] = arr[tiny]
-    inner = (y > 0.0) & (arr < 1.0)
+    inner = (y > 0.0) & below
     if inner.any():
         w = lambert_w_minus1_array(-y[inner])
         out[inner] = (1.0 + 1.0 / w) * arr[inner]

@@ -1,9 +1,9 @@
 """The kernel steps only a band of each row, past the leading nodes that a
-step provably leaves as they are: a constant run that the kernel's update
-keeps, or a stretch that the call's first step left unchanged.  A run with
-the band must equal the same run with every node stepped, bit for bit:
-final fields, window origins, clip counts, errors and every observed
-state."""
+step provably leaves as they are: a stretch that the last step, under the
+same weights, left unchanged.  A run with the band must equal the same
+run with every node stepped, bit for bit: final fields, window origins,
+clip counts, errors and every observed state.  The log-shifted frame,
+whose weights change on every step, holds nothing."""
 
 import math
 
@@ -37,13 +37,13 @@ class _Snapshots:
 
 @pytest.fixture
 def bands(monkeypatch):
-    """(first stepped node, value of the skipped run) of every slice, each
-    time the kernel builds its views."""
+    """The first stepped node of every row, each time the kernel builds its
+    views."""
     seen = []
     leg = solver._Kernel._leg
 
     def spy(self, v, out):
-        seen.append(tuple(zip(self._start, self._const)))
+        seen.append(tuple(self._start))
         return leg(self, v, out)
 
     monkeypatch.setattr(solver._Kernel, "_leg", spy)
@@ -77,13 +77,27 @@ def _full_rows(monkeypatch, cfgs, **kw):
 @pytest.mark.parametrize("batch", sorted(BATCHES))
 @pytest.mark.parametrize("frame", sorted(FRAMES))
 @pytest.mark.parametrize("model", ["local_u", "fkpp", "nonlocal_rho"])
-def test_band_equals_full_rows(monkeypatch, bands, model, frame, batch):
+def test_band_equals_full_rows(monkeypatch, kernels, model, frame, batch):
     chis, amplitudes = BATCHES[batch]
     if model == "nonlocal_rho":
         amplitudes = RHO_AMPLITUDES[batch]
     cfgs = _cfgs(model, FRAMES[frame], chis, amplitudes)
     banded = _outcome(cfgs)
-    assert any(s > 1 for slices in bands for s, _ in slices)  # some nodes were skipped
+    held = sum(kern.held for kern in kernels)
+    # no step of the log-shifted frame proves the next
+    assert held == 0 if frame == "log_shifted" else held > 0
+    assert banded == _full_rows(monkeypatch, cfgs)
+
+
+@pytest.mark.parametrize("frame", ["lab", "moving"])
+def test_rows_that_share_chi_each_hold_their_plateau(monkeypatch, bands, frame):
+    # rows of equal chi step as rows of their own: a density plateau rests
+    # at any height, so every row holds nodes, not only the first
+    chis, _ = BATCHES["shared_chi"]
+    cfgs = _cfgs("nonlocal_rho", FRAMES[frame], chis, RHO_AMPLITUDES["shared_chi"])
+    banded = _outcome(cfgs)
+    assert bands and all(len(starts) == len(cfgs) for starts in bands)
+    assert all(any(starts[j] > 1 for starts in bands) for j in range(len(cfgs)))
     assert banded == _full_rows(monkeypatch, cfgs)
 
 
@@ -92,7 +106,7 @@ def test_band_widens_as_the_plateau_recedes(bands):
     # behind it recedes through the band within each interval
     cfgs = _cfgs("local_u", solver.Frame.moving(2.0), (0.5,), (1.0,))
     _outcome(cfgs)
-    firsts = [slices[0][0] for slices in bands if slices[0][0] > 1]
+    firsts = [starts[0] for starts in bands if starts[0] > 1]
     assert any(b < a for a, b in zip(firsts, firsts[1:]))
 
 
@@ -108,48 +122,17 @@ def test_member_dropped_mid_run(monkeypatch, poison):
 
 def test_weights_that_move_the_plateau_step_full_rows(monkeypatch, bands):
     # At cfl_sigma = 0.5, the chi = 0.5 weights in a frame at speed 2 move
-    # a density plateau of 1.7 by an ulp: c + corr([c, c, c], wv) != c.
-    # That row must step in full while its plateau is 1.7 (once it has
-    # moved, the new value may be kept); the chi = 1 row, whose weights
-    # keep 1.7, is banded.
+    # a density plateau of 1.7 by an ulp, and the chi = 1 weights keep it.
+    # The first proof, that step, holds the chi = 1 row's plateau and
+    # nothing of the chi = 0.5 row's.
     cfgs = _cfgs("nonlocal_rho", solver.Frame.moving(2.0), (0.5, 1.0), (1.7, 1.7), cfl_sigma=0.5)
     kern = solver._Kernel(cfgs, [solver.make_state(cfg).field for cfg in cfgs])
-    kern._reweigh(solver.stable_dt(cfgs[0]), 2.0)
-    assert [kern._keeps(j, 1.7) for j in range(2)] == [False, True]
+    assert kern.advance((0.0,), solver.stable_dt(cfgs[0])) == (1, None)
+    assert [row[1] == 1.7 for row in kern.cur.reshape(2, -1)] == [False, True]
     banded = _outcome(cfgs)
-    assert not any(start > 1 and c == 1.7 for (start, c), _ in bands)
-    assert any(start > 1 and c == 1.7 for _, (start, c) in bands)
+    first = next(starts for starts in bands if max(starts) > 1)
+    assert first[0] == 1 and first[1] > 1
     assert banded == _full_rows(monkeypatch, cfgs)
-
-
-
-def test_find_keeps_a_band_only_while_it_fits():
-    # a band in use stays while its first stepped node is inside the run
-    # and fewer than 16 nodes left of the new start; else it moves there
-    cfg = solver.make_config("local_u", chi=0.5, dx=0.1, x_left=-20.0, width=30.0)
-    kern = solver._Kernel([cfg], [np.zeros(cfg.grid.n)])
-    kern._reweigh(solver.stable_dt(cfg), 0.0)
-    v = kern.cur
-    starts = []
-    for run in (200, 210, 216, 215, 214, 2):
-        v[:run] = 1.0
-        v[run:] = 0.5
-        kern._find()
-        starts.append(kern._start[0])
-    assert starts == [199, 199, 215, 214, 213, 1]
-    assert kern._const == [None]
-
-
-def _runs_only(monkeypatch):
-    """Bands from constant runs alone: the call's first step never proves
-    the stretch it left unchanged."""
-    find = solver._Kernel._find
-
-    def runs(self):
-        self._witness = False
-        find(self)
-
-    monkeypatch.setattr(solver._Kernel, "_find", runs)
 
 
 def _pulled_fronts_batch(**kw):
@@ -168,8 +151,7 @@ def _banded_steps(monkeypatch, kernels, cfgs):
     local = kernel._Kernel._local
 
     def counted(self, v, r, mask):
-        if v.size > 3:  # a step, not _keeps on [c, c, c]
-            steps.append(sum(self._start) - len(self._start))
+        steps.append(sum(self._start) - len(self._start))
         local(self, v, r, mask)
 
     with monkeypatch.context() as m:
@@ -183,19 +165,15 @@ def _banded_steps(monkeypatch, kernels, cfgs):
 
 def test_pulled_fronts_batch_holds_its_settled_region(monkeypatch, kernels):
     # at cfl_sigma = 0.4, by t = 20 the rows behind the fronts settle a few
-    # ulp below 1, where R is not 0
-    cfgs = _pulled_fronts_batch(cfl_sigma=0.4)
-    _, kern = _banded_steps(monkeypatch, kernels, cfgs)
-    with monkeypatch.context() as m:
-        _runs_only(m)
-        _outcome(cfgs, trace_every=0.5)
-    runs = kernels[-1]
-    assert runs is not kern and kern.held > 1.5 * runs.held > 0
+    # ulp below 1, where R is not 0, and the steps leave them unchanged
+    banded, kern = _banded_steps(monkeypatch, kernels, _pulled_fronts_batch(cfl_sigma=0.4))
+    row = np.frombuffer(banded[-1][0][3])
+    assert row[0] < 1.0 and kern.held > 0
 
 
 def test_pulled_fronts_batch_at_the_default_step(monkeypatch, kernels):
     # at the default step the pushed row's plateau settles at exactly 1,
-    # which the kernel's update keeps, so constant runs hold most of it
+    # which every step keeps
     banded, kern = _banded_steps(monkeypatch, kernels, _pulled_fronts_batch())
     row = np.frombuffer(banded[-1][0][3])
     assert row[0] == 1.0 and kern.held > 0
@@ -230,30 +208,10 @@ def test_shifted_rows_are_proved_again():
         for each in (kern, full):
             assert each.advance(times, dt) == (100, None)
         assert kern.cur.tobytes() == full.cur.tobytes()
-        # the band held more than the run: the first step proved it
-        assert kern._const == [None] and kern._start[0] > int(np.argmax(kern.cur != kern.cur[0]))
+        # the band held more than the run of the row's left value
+        assert kern._start[0] > int(np.argmax(kern.cur != kern.cur[0]))
         for each in (kern, full):
             solver._shift_window(each.cur, shift, cfg.model)
-
-
-def test_log_shifted_frame_holds_a_plateau_below_one():
-    # the pushed row's plateau, 8 ulp below 1, has R(c) > 0, and the
-    # log-shifted frame's weights change every step: the kernel's update of
-    # [c, c, c] keeps c under each of them, so the run is held throughout
-    _, row = _settled_row(20.0)
-    cfg = solver.make_config("local_u", chi=2.0, dx=0.1, x_left=-30.0, width=102.0,
-                             frame=solver.Frame.log_shifted(2.5, r=1.5, t0=1.0), cfl_sigma=0.4)
-    dt = solver.stable_dt(cfg)
-    kern, full = _twins([cfg], [row])
-    c, r = 0.9999999999999982, np.empty(1)
-    kern._reaction(kern, np.array([c]), r, None)
-    assert row[0] == c and r[0] > 0.0
-    times = [20.0 + k * dt for k in range(200)]
-    for each in (kern, full):
-        assert each.advance(times, dt) == (200, None)
-    assert kern.cur.tobytes() == full.cur.tobytes()
-    run = int(np.argmax(row != c))
-    assert kern._const == [c] and kern.held >= 200 * (run - 2 - 16)
 
 
 def _waves(model, chis, frame="moving", t_end=0.5):
@@ -285,20 +243,24 @@ def test_p_in_the_lab_frame_holds_nothing(monkeypatch, kernels):
 
 def test_a_row_without_a_band_proves_one_later_in_the_call(monkeypatch):
     # the first step of a P wave moves node 0 onto its linear rule, so the
-    # call's second step proves no band; a later proof, 64 steps on, does
+    # proof it gives holds nothing; a later proof, 64 steps on, does
     (cfg,) = _waves("nonlocal_p", (0.3,))
     dt = solver.stable_dt(cfg)
-    kern, full = _twins([cfg], [solver.make_state(cfg).field])
     proofs = []  # (steps taken, first stepped node) at each proof
-    find = kernel._Kernel._find
+    steps = [0]  # the steps the banded twin has taken
+    find, ramp = kernel._Kernel._find, kernel._Kernel._ramp
 
     def seen(self):
-        witness = self._witness
         find(self)
-        if witness:
-            proofs.append((witness, self._start[0]))
+        proofs.append((steps[0], self._start[0]))
+
+    def stepped(self, v, r, mask):
+        steps[0] += self is kern
+        ramp(self, v, r, mask)
 
     monkeypatch.setattr(kernel._Kernel, "_find", seen)
+    monkeypatch.setattr(kernel._Kernel, "_ramp", stepped)
+    kern, full = _twins([cfg], [solver.make_state(cfg).field])
     times = [k * dt for k in range(1000)]
     for each in (kern, full):
         assert each.advance(times, dt) == (1000, None)
@@ -326,13 +288,11 @@ def test_shifted_p_rows_are_proved_again():
 
 
 @pytest.mark.parametrize("model", ["local_u", "nonlocal_p"])
-def test_log_shifted_waves_hold_only_constant_runs(monkeypatch, bands, kernels, model):
+def test_log_shifted_waves_hold_nothing(monkeypatch, kernels, model):
     # the log-shifted frame changes its weights every step, so no step
-    # repeats the inputs and weights of the one before: it proves no
-    # observed stretch, and P, which has no run, steps in full
+    # repeats the weights of the one before and none proves a band, not
+    # even of the local wave's plateau at exactly 1
     cfgs = _waves(model, (0.0, 0.5, 1.0), frame="log_shifted")
     banded = _outcome(cfgs, trace_every=0.1)
-    assert all(c is not None for slices in bands for start, c in slices if start > 1)
-    if model == "nonlocal_p":
-        assert sum(kern.held for kern in kernels) == 0
+    assert kernels and sum(kern.held for kern in kernels) == 0
     assert banded == _full_rows(monkeypatch, cfgs, trace_every=0.1)

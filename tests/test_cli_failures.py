@@ -119,6 +119,26 @@ def test_grid_size_is_checked_before_any_compute(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("xmin,xmax,dx", [
+    ("-inf", "1", "0.5"),
+    ("-1", "inf", "0.5"),
+    ("nan", "1", "0.5"),
+    ("-1", "nan", "0.5"),
+    ("-1", "1", "inf"),
+    ("-1e308", "1e308", "1"),  # the width overflows to inf
+    ("-50", "50.0001", "1e-4"),  # one point more than MAX_NODES
+    ("0", "1", "1e-12"),  # 1e12 points: an 8 TB array
+])
+def test_wave_range_is_checked_before_any_array(capsys, monkeypatch, xmin, xmax, dx):
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was made for a range that should be refused")
+
+    monkeypatch.setattr(cli.np, "arange", no_array)
+    argv = ["wave", "--chi", "1.0", "--model", "u", f"--xmin={xmin}", f"--xmax={xmax}", f"--dx={dx}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: validation error on wave range")
+
+
 @pytest.mark.parametrize("width", [math.inf, math.nan, 1e308])
 def test_make_config_names_a_width_it_cannot_grid(width):
     with pytest.raises(ValueError, match="width"):
