@@ -45,14 +45,15 @@ can be compared.  Seven kinds of case are timed:
   with pads 18/60 and recentring, advanced untimed to t = 20, when the
   rows behind its fronts have settled, and timed over the next
   RUN_STEPS steps.  It also reports `held`, the nodes per row that the
-  kernel left unstepped in those steps, from one more run:
-  `_Kernel.held`, or for a kernel without it the nodes left of each
-  band's first stepped node, counted at every step (`local_u` only);
+  kernel left unstepped in those steps (`_Kernel.held`), from one more
+  run;
 - `dense`: the two runs of a model on the benchmark's
   `defect_diagnostics` window (Heaviside data, dx = 0.04, pads 15/20) at
   its seed-1 chi, 0.081 and 2.347, to its T = 3 with an emit every 0.02
   and no observer, so that `us` is the cost of stepping between emits;
-  it also reports `no_emit_us`, the same runs with no emit but the last;
+  it also reports `held`, the nodes per step left unstepped in the same
+  runs with the same emits, and `no_emit_us`, the same runs with no emit
+  but the last;
 - `sample`: µs per `TraceRecorder.sample` of the state of one of those
   runs at T = 1 (`us` only), the median of RUNS means over SAMPLES calls.
 
@@ -117,8 +118,8 @@ def cases() -> dict[str, tuple]:
 def measure(src: str, case: str) -> dict:
     """The metrics of one case, timed with gogrow from src: {"us": µs per
     step, "us_per_t": µs per unit of simulated time}, and "held" too for
-    the wave and sweep cases, "no_emit_us" for the dense ones; {"us": µs
-    per sample} for the sample cases."""
+    the wave, sweep and dense cases, "no_emit_us" for the dense ones;
+    {"us": µs per sample} for the sample cases."""
     sys.path.insert(0, str(Path(src).resolve()))
     from gogrow import solver
 
@@ -127,7 +128,10 @@ def measure(src: str, case: str) -> dict:
         return {"us": _sample_us(solver, _defect_cfg(solver, model, chis, SAMPLE_T))}
     if kind == "dense":
         cfgs = [_defect_cfg(solver, model, chi, DENSE_T) for chi in chis]
-        out = {"us": _dense_us(solver, cfgs, DENSE_EVERY), "no_emit_us": _dense_us(solver, cfgs, DENSE_T)}
+        steps = sum(math.ceil(cfg.t_end / solver.stable_dt(cfg) - 1e-12) for cfg in cfgs)
+        held = _held(solver, lambda watch: [solver.run(cfg, [watch], trace_every=DENSE_EVERY) for cfg in cfgs])
+        out = {"us": _dense_us(solver, cfgs, steps, DENSE_EVERY), "held": held / steps,
+               "no_emit_us": _dense_us(solver, cfgs, steps, DENSE_T)}
     elif kind == "sweep":
         cfgs = [solver.make_config(model, chi=chi, dx=size, x_left=-30.0, width=102.0, frame=solver.Frame.lab(),
                                    left_pad=18.0, right_pad=60.0) for chi in chis]
@@ -136,7 +140,9 @@ def measure(src: str, case: str) -> dict:
         cfg = solver.make_config(model, chi=chis, dx=size, x_left=-15.0, width=32.0, frame="moving",
                                  init="traveling_wave", left_pad=8.0, right_pad=8.0)
         cfgs = [dataclasses.replace(cfg, t_end=RUN_STEPS * solver.stable_dt(cfg))]
-        out = {"us": _run_batch_us(solver, cfgs, recenter=False), "held": _held(solver, cfgs, 0.0, recenter=False)}
+        held = _held(solver, lambda watch: solver.run_batch(cfgs, [[watch]], trace_every=cfgs[0].t_end,
+                                                            recenter=False))
+        out = {"us": _run_batch_us(solver, cfgs, recenter=False), "held": held / RUN_STEPS}
     else:
         width = (size - 1) * DX
         frame = solver.Frame.log_shifted(2.0, r=1.5, t0=1.0) if kind == "log" else solver.Frame.moving(2.0)
@@ -154,10 +160,10 @@ def _defect_cfg(solver, model, chi, t_end):
                               right_pad=20.0)
 
 
-def _dense_us(solver, cfgs, every) -> float:
-    """µs per step of the runs of cfgs, each emitting every `every` with no
-    observer: the median over RUNS of the time of all of them."""
-    steps = sum(math.ceil(cfg.t_end / solver.stable_dt(cfg) - 1e-12) for cfg in cfgs)
+def _dense_us(solver, cfgs, steps, every) -> float:
+    """µs per step of the runs of cfgs, `steps` in all, each emitting every
+    `every` with no observer: the median over RUNS of the time of all of
+    them."""
     runs = []
     for _ in range(RUNS):
         start = time.perf_counter()
@@ -217,38 +223,32 @@ def _sweep(solver, cfgs) -> dict:
         observers = [[lambda state, _: marks.append(time.perf_counter())]] + [[] for _ in cfgs[1:]]
         solver.run_batch(cfgs, observers, trace_every=SWEEP_T)
         runs.append((time.perf_counter() - marks[1]) / RUN_STEPS * 1e6)
-    return {"us": statistics.median(runs), "held": _held(solver, cfgs, SWEEP_T)}
+    held = _held(solver, lambda watch: solver.run_batch(cfgs, [[watch]] + [[] for _ in cfgs[1:]],
+                                                        trace_every=SWEEP_T), after=SWEEP_T)
+    return {"us": statistics.median(runs), "held": held / (len(cfgs) * RUN_STEPS)}
 
 
-def _held(solver, cfgs, after: float, **run) -> float:
-    """The nodes per row and step that the kernels of one run left
-    unstepped in its RUN_STEPS steps after the time `after`."""
+def _held(solver, runs, after: float = 0.0) -> int:
+    """The node-steps that the kernels of runs(watch) left unstepped after
+    its first emit at or after the time `after`: runs makes solver.run or
+    run_batch calls, with the observer watch on their first config."""
     base = solver._Kernel
-    made, counted, marks = [], [0], []
+    made, marks = [], []
 
     class Counting(base):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
-    local = base._local
-
-    def counting(self, v, r, mask):
-        if v.size > 3:  # a step, not a check on a few nodes
-            counted[0] += sum(self._start) - len(self._start)
-        local(self, v, r, mask)
-
     def held() -> int:
-        return sum(k.held for k in made) if hasattr(made[0], "held") else counted[0]
+        return sum(k.held for k in made)
 
-    base._local, solver._Kernel = counting, Counting
+    solver._Kernel = Counting
     try:
-        observers = [[lambda state, _: marks.append((state.t, held()))]] + [[] for _ in cfgs[1:]]
-        solver.run_batch(cfgs, observers, trace_every=after or cfgs[0].t_end, **run)
+        runs(lambda state, _: marks.append((state.t, held())))
     finally:
-        base._local, solver._Kernel = local, base
-    start = next(count for t, count in marks if t >= after)
-    return (held() - start) / (len(cfgs) * RUN_STEPS)
+        solver._Kernel = base
+    return held() - next(count for t, count in marks if t >= after)
 
 
 def _child(src: Path, case: str, pad: int) -> dict:
@@ -317,7 +317,8 @@ def main(argv=None) -> int:
                 "log-shifted frame; wave: traveling waves in their moving frame, no "
                 "recentring; sweep: the pulled_fronts batch after t = 20; wave and sweep report the "
                 "nodes per row the kernel held; dense: the defect_diagnostics runs to T = 3 with an emit "
-                "every 0.02 and no observer, and no_emit_us without the emits; sample: us per "
+                "every 0.02 and no observer, held the nodes per step the kernels held with those emits, "
+                "and no_emit_us without the emits; sample: us per "
                 "TraceRecorder.sample of their state at T = 1)",
         "machine": {"platform": platform.platform(), "cpu": _cpu_model(), "cpus": os.cpu_count()},
         "python": platform.python_version(),

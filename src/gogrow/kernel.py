@@ -15,10 +15,9 @@ loop over prebuilt views of the two buffers, so a step pays for its numpy
 calls and little else.  It steps only a band of each row, past the nodes
 behind the front that the last step left unchanged and so the next one
 provably leaves as they are (see _Kernel): a settled plateau, or the left
-part of a wave of P that its moving frame leaves unchanged.  A call goes
-on with the bands and proofs of the last one while the rows are as that
-call left them, so an event that only reads the rows, such as an emit,
-costs the kernel one comparison of the rows.
+part of a wave of P that its moving frame leaves unchanged.  A call proves
+its bands from its own first step, which is a full one, so whatever was
+written into either buffer between two calls is stepped again.
 Each step is checked by one global guard, out[argmin] >= 0 and out[argmax]
 <= a ceiling (1 + 1e-12 for the bounded models); argmin and argmax return
 the first NaN, and an infinity fails one of the two tests, so every value
@@ -74,41 +73,38 @@ class _Kernel:
     v-weights sum to well under half an ulp of 1, so both stationary
     states are kept exactly.  Each row runs its own pair of weights, so a
     row of a batch is rounded exactly as its own run.  The weights are
-    rebuilt only when dt or the frame drift changes, which the
-    log-shifted frame does on every step.
+    written again, in place, only when dt or the frame drift changes,
+    which the log-shifted frame does on every step.
 
     advance steps only a band of each row, from its first stepped node
     on.  The nodes left of it are held: a step provably leaves them as
     they are, bit for bit.  The one proof is the last step: under
     unchanged weights, a node that it left unchanged, with both its
     neighbours, has that step's inputs again and comes out the same.
-    The first step after a write to the rows, a new kernel or new weights
-    is a full one.  While the drift is constant, _find takes the proof of
-    that step and of every _EVERY-th step after it.  With f the first
-    node the step changed (for the density model no further right than
-    its switch node, so that R was 0 at both steps), the band starts
-    _MARGIN short of f - 1.  A row without a band takes any; a later
-    proof moves a band by _MARGIN nodes or more, so that views are built
-    rarely, and so a band follows a plateau that advances behind its
-    front.  The log-shifted frame takes no proof and holds nothing: its
-    drift, and so its weights, change on every step, so no step proves
-    the next.
+    The first step of every call is a full one.  While the drift is
+    constant, _find takes the proof of that step and of every _EVERY-th
+    step after it.  With f the first node the step changed (for the
+    density model no further right than its switch node, so that R was 0
+    at both steps), the band starts _MARGIN short of f - 1.  A row
+    without a band takes any; a later proof moves a band by _MARGIN nodes
+    or more, so that views are built rarely, and so a band follows a
+    plateau that advances behind its front.  The log-shifted frame takes
+    no proof and holds nothing: its drift, and so its weights, change on
+    every step, so no step proves the next.
 
     A band is kept by watching its first node: while a step leaves it
     unchanged, the held nodes see the inputs they saw; when it changes,
     the band widens by _MARGIN (_widen).  The density model's band also
-    widens to left of its switch node when that moves into it.  A call
-    goes on where the last one stopped, with its bands, the steps since
-    the full step and the next proof due, so advance(a); advance(b) steps
-    and holds as advance(a + b) does.  A write to the rows between calls
-    voids that: the kernel keeps the bytes of cur as it left them and
-    compares them at the next call, so after a recentring shift, a test's
-    write or a guard's clip (a tripped guard keeps nothing) the next call
-    starts with a full step, as it does under new weights.  A proof holds
-    only nodes that its step left equal in both buffers, so neither
-    buffer is written there; the two edge nodes are written in the first
-    two steps after a full one, and then sit in both buffers too.  The
-    guard still reads every node, and held counts the node-steps held.
+    widens to left of its switch node when that moves into it.  Only the
+    weights, the switch nodes and held outlive a call: each call proves
+    its bands from its own first step, so a recentring shift, a guard's
+    clip or any other write between calls is stepped again, and
+    advance(a); advance(b) gives the bytes of advance(a + b), though not
+    the same held count.  A proof holds only nodes that its step left
+    equal in both buffers, so neither buffer is written there; the two
+    edge nodes are written in the first two steps of a call, and then sit
+    in both buffers too.  The guard still reads every node, and held
+    counts the node-steps held.
     The reaction runs from the first row's band to the end of the array.
     nonlocal_p's node 0 keeps the linear rule 2 out[1] - out[2], which
     gives node 0 its value again while nodes 1 and 2 are held; its band
@@ -158,18 +154,14 @@ class _Kernel:
             eta = 4.0 * (n + 2) * 2.0**-53
             self._below, self._above = 1.0 - eta, 1.0 + eta
         self._key = None
+        # each row's v- and R-weights, which _reweigh writes in place
+        self._arrays = [(np.empty(3), np.empty(3)) for _ in self.chi]
         self._weights: list = []
         # the band of each row, its first stepped node (1: all of them), and
         # its legs, cur into nxt and nxt into cur (None: built again)
         self._start = [1] * self.rows
         self._legs: list | None = None
         self.held = 0
-        # the bytes of cur as the last call left them (None: that call's
-        # guard tripped, or none was made), the steps taken since the full
-        # step, and the step of the next proof, counted as those
-        self._left: bytes | None = None
-        self._done = 0
-        self._proof_at = 1
         # nodes 0, 1, 2 and n-1 of every row; plain indices for one row,
         # which cost less than strided views
         self._edges = [i if self.rows == 1 else slice(i, None, n) for i in (0, 1, 2, n - 1)]
@@ -189,20 +181,19 @@ class _Kernel:
         return v, out, v[a:], r[a:], mask, rows
 
     def _reweigh(self, dt: float, drift: float) -> None:
-        """The (v-weights, R-weights) of every row for this dt and drift;
-        no band is proved under them, so every row steps in full."""
+        """The (v-weights, R-weights) of every row for this dt and drift,
+        written into the arrays of the row."""
         lam = dt / (self.dx * self.dx)
         d = dt * drift / (2.0 * self.dx)
         self._weights = []
-        for chi in self.chi:
+        for chi, (wv, wr) in zip(self.chi, self._arrays):
             m = dt * chi / (2.0 * self.dx)
-            wv = np.array([lam - d + m, -2.0 * lam, lam + d - m])
+            # element by element: a slice assignment builds an array first
+            wv[0], wv[1], wv[2] = lam - d + m, -2.0 * lam, lam + d - m
+            wr[0], wr[1], wr[2] = -m, dt, m
             # with m = 0 (FKPP, chi = 0) the R-stencil is one multiply
-            self._weights.append((wv, np.array([-m, dt, m]) if m else None))
+            self._weights.append((wv, wr if m else None))
         self._key = (dt, drift)
-        if max(self._start) > 1:
-            self._start = [1] * self.rows
-            self._legs = None
 
     def _find(self) -> None:
         """Set the band of each row from the last step, which cur and nxt
@@ -327,33 +318,27 @@ class _Kernel:
             return 0, None
         times = itertools.chain((t,), times)
         drift = drift_at(t)
-        if self._key != (dt, drift) or self._left is None or self.cur.tobytes() != self._left:
-            # new weights, or the rows were written or no call left them: a
-            # full step, from which the steps count again
+        if self._key != (dt, drift):
             self._reweigh(dt, drift)
-            self._done, self._proof_at = 0, 1
-        # else this call goes on with the last call's bands and proofs, as
-        # one call would
-        done = self._done
+        # the rows may have been written since the last call: a full step
+        if max(self._start) > 1:
+            self._start = [1] * self.rows
+            self._legs = None
         # only the log-shifted frame's drift changes from step to step, so
         # only its weights are checked again, and it proves nothing
         shifting = self.frame.r != 0.0
         legs, watch, holds = self._banded()
-        # the steps of this call that write the edges: the first two after
-        # the full step
-        taken, since, guarded, proof_at = 0, 0, None, self._proof_at - done
-        edges_until = 2 - done
+        taken, since, guarded = 0, 0, None
         for t in times:
             if shifting:
                 drift = drift_at(t)
                 if self._key != (dt, drift):
                     self._reweigh(dt, drift)
-            elif taken == proof_at:
+            elif taken % _EVERY == 1:
                 # cur and nxt hold the last step, under these weights; the
                 # proof is taken again so that a band follows a plateau
                 # that advances
                 self._find()
-                proof_at += _EVERY
             if switches is not None:
                 switches(legs[taken % 2][0])
             if self._legs is None:
@@ -370,7 +355,7 @@ class _Kernel:
                     rhs += r_inner
                 else:
                     rhs += np.correlate(r_row, wr)
-            if taken <= edges_until:
+            if taken <= 2:  # write the edges of both buffers
                 out[last] = 0.0
                 if not left_linear:
                     out[first] = v[first]  # plateau held fixed for one step
@@ -394,9 +379,6 @@ class _Kernel:
             self.cur, self.nxt = self.nxt, self.cur
             if self._legs is not None:
                 self._legs.reverse()
-        # a guard's clip wrote rows that no step gave
-        self._left = self.cur.tobytes() if guarded is None else None
-        self._done, self._proof_at = done + taken, done + proof_at
         return taken, guarded
 
     def _banded(self) -> tuple[list, list, int]:

@@ -643,7 +643,10 @@ def run_batch(
             elif (k + 1) * dt >= next_emit - 1e-9:
                 t_new = (k + 1) * dt
                 batch.emit(t_new)
-                while next_emit <= t_new + 1e-9:
+                # with 2 trace_every <= dt every step is due, and next_emit
+                # stays behind: raising it would take dt / trace_every
+                # additions a step, or never end once they are absorbed
+                while 2.0 * trace_every > dt and next_emit <= t_new + 1e-9:
                     next_emit += trace_every
             k += 1
     for j, i in enumerate(batch.live):

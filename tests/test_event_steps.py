@@ -134,6 +134,23 @@ def test_events_fall_on_the_steps_of_the_per_step_rule(monkeypatch, dx, t_end, t
     assert recentred == recentres
 
 
+@pytest.mark.parametrize("trace_every", [1e-12, 1e-300])
+def test_a_trace_every_far_below_dt_emits_after_every_step(trace_every):
+    # raising the next emit time by trace_every at a time would take about
+    # 1e9 additions a step at 1e-12, and at 1e-300 they are absorbed
+    cfg = _cfg(0.1, 0.05)
+    dt = solver.stable_dt(cfg)
+
+    def emits(every):
+        seen = []
+        solver.run(cfg, [lambda state, _: seen.append(state.t)], trace_every=every)
+        return seen
+
+    want = emits(dt / 3.0)
+    assert len(want) == 1 + math.ceil(cfg.t_end / dt) == 18
+    assert emits(trace_every) == want
+
+
 @pytest.mark.parametrize("bad_step", [130, 131])  # an even and an odd count into the interval
 def test_guard_trip_mid_interval_resumes_on_the_next_step(monkeypatch, bad_step):
     # NaN reaches node 40 of the chi = 2 row just before step bad_step,

@@ -1,10 +1,9 @@
-"""advance(a); advance(b) is advance(a + b) while nothing writes the rows
-between the two calls: the kernel keeps its bands, its proof schedule and
-what its buffers hold across the call boundary, so the same steps give
-the same bytes and hold the same nodes however they are split into calls.
-A write to the rows, found by comparing them with what the last call left,
-makes the next call start again from a full step, and a step under new
-weights proves nothing from a step under the old ones."""
+"""A call of the kernel proves its bands from its own first step, which is
+a full one, and only its weights, its switch nodes and its count of held
+node-steps outlive the call.  So advance(a); advance(b) gives the bytes
+of advance(a + b), though not the same held count; a write into either
+buffer between two calls is stepped again; and a step under new weights
+proves nothing from a step under the old ones."""
 
 import numpy as np
 import pytest
@@ -52,7 +51,9 @@ def test_split_calls_equal_one_call(model, frame):
     for calls in (1, 7, 42):
         split = _stepped(cfgs, calls)
         assert split.cur.tobytes() == one.cur.tobytes()
-        assert split.held == one.held
+        # each call proves its bands from its own first step, a full one,
+        # so calls of one step hold nothing
+        assert (split.held > 0) is (one.held > 0 and calls > 1)
     # the log-shifted frame changes its weights every step, and P grows on
     # the left in the lab frame: there nothing is held
     assert (one.held > 0) is (frame == "moving" or frame == "lab" and model != "nonlocal_p")
@@ -76,6 +77,13 @@ def test_a_write_between_calls_is_proved_again(model):
             each.cur[node] = np.nextafter(each.cur[node], np.inf)
     for each in (kern, full):
         assert each.advance([k * dt for k in range(600, 900)], dt) == (300, None)
+    assert kern.cur.tobytes() == full.cur.tobytes()
+    # and into nxt, which the next step writes in full
+    node = kern._start[0] // 2
+    assert node > 0
+    for each in (kern, full):
+        each.nxt[node] = np.nextafter(each.nxt[node], np.inf)
+        assert each.advance([900 * dt], dt) == (1, None)
     assert kern.cur.tobytes() == full.cur.tobytes()
 
 
